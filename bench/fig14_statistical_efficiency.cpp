@@ -38,6 +38,17 @@ struct Workload {
   std::size_t max_epochs;
 };
 
+/// AvgPipe at N = 2 in its one-stage serial configuration: each replica
+/// trains its whole batch in one step and the driver waits for every
+/// reference apply, so only the policy's update rule shapes the result.
+core::AvgPipeConfig avgpipe_config(core::SyncPolicyKind kind) {
+  core::AvgPipeConfig cfg;
+  cfg.num_pipelines = 2;
+  cfg.micro_batches = 1;
+  cfg.sync.kind = kind;
+  return cfg;
+}
+
 std::size_t epochs_to_target(runtime::TrainerBase& trainer,
                              const Workload& w) {
   data::DataLoader loader(w.dataset, w.batch_size, /*seed=*/99);
@@ -94,20 +105,19 @@ void run_workload(const Workload& w) {
     report("PipeDream-2BW (1-stale)", epochs_to_target(trainer, w));
   }
   {
-    core::AvgPipeTrainer trainer(w.model, w.optimizer, /*pipelines=*/2);
+    core::AvgPipe trainer(w.model, w.optimizer,
+                          avgpipe_config(core::SyncPolicyKind::kElastic));
     report("AvgPipe (elastic averaging, N=2)", epochs_to_target(trainer, w));
   }
   {
-    core::SyncPolicyConfig sync;
-    sync.kind = core::SyncPolicyKind::kBsp;
-    core::AvgPipeTrainer trainer(w.model, w.optimizer, /*pipelines=*/2, sync);
+    core::AvgPipe trainer(w.model, w.optimizer,
+                          avgpipe_config(core::SyncPolicyKind::kBsp));
     report("AvgPipe[bsp] (model averaging, N=2)",
            epochs_to_target(trainer, w));
   }
   {
-    core::SyncPolicyConfig sync;
-    sync.kind = core::SyncPolicyKind::kBmuf;
-    core::AvgPipeTrainer trainer(w.model, w.optimizer, /*pipelines=*/2, sync);
+    core::AvgPipe trainer(w.model, w.optimizer,
+                          avgpipe_config(core::SyncPolicyKind::kBmuf));
     report("AvgPipe[bmuf] (block momentum, N=2)",
            epochs_to_target(trainer, w));
   }

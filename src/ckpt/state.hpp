@@ -4,18 +4,18 @@
 /// The full durable training state of an AvgPipe system, and its record
 /// codec over checkpoint files.
 ///
-/// `TrainState` is the closure of everything the PR-6 sync-policy layer can
+/// `TrainState` is the closure of everything the sync-policy layer can
 /// mutate across a round boundary: the reference model, the policy's own
 /// reference-side state (BMUF momentum Δ), the published broadcast, each
 /// pipeline's parameters plus per-stage runtime state (optimizer slots and
 /// the XPipe EMA predictors), and every named RNG stream. Restoring it —
-/// plus re-feeding the same batches — reproduces the uninterrupted run
-/// bit-for-bit on the serial path, which is the property `ckpt_test` gates
-/// on for all four policies.
+/// plus re-feeding the same batches — reproduces the uninterrupted
+/// sync-mode run bit-for-bit, which is the property `ckpt_test` gates on for
+/// all four policies, with the sync codec off and int8.
 ///
-/// The capture/restore entry points live on `core::AvgPipe` /
-/// `core::AvgPipeTrainer` (they own the thread discipline); this file only
-/// defines the state bag and its serialization. Kept deliberately free of a
+/// The capture/restore entry points live on `core::AvgPipe` (it owns the
+/// thread discipline); this file only defines the state bag and its
+/// serialization. Kept deliberately free of a
 /// core dependency (policy kind is a raw byte here) so the checkpoint layer
 /// sits below core in the link order.
 

@@ -189,10 +189,10 @@ std::string PipelineRuntime::failure_message() const {
   return failure_;
 }
 
-void PipelineRuntime::set_tracer(trace::Tracer* tracer,
-                                 std::size_t pipeline_index) {
-  tracer_ = tracer;
-  trace_pipeline_ = static_cast<std::uint32_t>(pipeline_index);
+void PipelineRuntime::set_tracer(trace::Tracer* tracer) { tracer_ = tracer; }
+
+void PipelineRuntime::set_pipeline_index(std::size_t index) {
+  pipeline_index_ = static_cast<std::uint32_t>(index);
 }
 
 void PipelineRuntime::set_faults(const fault::FaultPlan* plan) {
@@ -226,7 +226,7 @@ void PipelineRuntime::record_span(Stage& stage, trace::EventKind kind,
   if (stage.trace_buf == nullptr) return;
   trace::TraceEvent ev;
   ev.kind = kind;
-  ev.pipeline = trace_pipeline_;
+  ev.pipeline = pipeline_index_;
   ev.stage = static_cast<std::uint32_t>(stage.index);
   ev.batch = instr.batch;
   ev.micro_batch = instr.micro_batch;
@@ -241,7 +241,7 @@ void PipelineRuntime::record_counter(Stage& stage, trace::CounterId id,
   trace::TraceEvent ev;
   ev.kind = trace::EventKind::kCounter;
   ev.counter = id;
-  ev.pipeline = trace_pipeline_;
+  ev.pipeline = pipeline_index_;
   ev.stage = static_cast<std::uint32_t>(stage.index);
   ev.t_begin = ev.t_end = tracer_->wall_now();
   ev.value = value;
@@ -293,7 +293,7 @@ void PipelineRuntime::faulty_send(Stage& stage, Ch& ch, T msg,
     const Seconds t0 = stage.trace_buf ? tracer_->wall_now() : 0;
     int attempt = 0;
     Seconds retry = 0;
-    while (faults_->should_drop(static_cast<int>(trace_pipeline_),
+    while (faults_->should_drop(static_cast<int>(pipeline_index_),
                                 static_cast<int>(stage.index), step, key,
                                 attempt, &retry)) {
       ++attempt;
@@ -420,7 +420,7 @@ AVGPIPE_HOT_PATH
 void PipelineRuntime::run_instr(Stage& stage, const schedule::Instr& instr,
                                 long step) {
   if (faults_active_ &&
-      faults_->should_kill(static_cast<int>(trace_pipeline_),
+      faults_->should_kill(static_cast<int>(pipeline_index_),
                            static_cast<int>(stage.index), step,
                            instr.micro_batch)) {
     // Arbitrary-point crash: die before the instruction runs, leaving any
@@ -434,7 +434,7 @@ void PipelineRuntime::run_instr(Stage& stage, const schedule::Instr& instr,
   }
   const double slow =
       faults_active_
-          ? faults_->straggler_factor(static_cast<int>(trace_pipeline_),
+          ? faults_->straggler_factor(static_cast<int>(pipeline_index_),
                                       static_cast<int>(stage.index), step)
           : 1.0;
   const auto w0 = std::chrono::steady_clock::now();
@@ -588,7 +588,7 @@ void PipelineRuntime::begin_prediction(Stage& stage, long step) {
   if (stage.trace_buf != nullptr) {
     trace::TraceEvent ev;
     ev.kind = trace::EventKind::kWeightPrediction;
-    ev.pipeline = trace_pipeline_;
+    ev.pipeline = pipeline_index_;
     ev.stage = static_cast<std::uint32_t>(stage.index);
     ev.batch = static_cast<std::int32_t>(step);
     ev.t_begin = t0;

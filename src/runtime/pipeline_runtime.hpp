@@ -130,12 +130,17 @@ class PipelineRuntime {
   /// assertions mirroring the paper's stash bounds).
   std::size_t peak_stash(std::size_t stage) const;
 
-  /// Attach a tracer: stage workers then record wall-clock compute spans,
-  /// recv-wait spans and channel-occupancy counters, tagged with
-  /// `pipeline_index` (the replica number under core::AvgPipe). Must be
-  /// called before the first train_batch; the tracer must outlive this
-  /// runtime.
-  void set_tracer(trace::Tracer* tracer, std::size_t pipeline_index = 0);
+  /// Attach a tracer (nullptr to clear): stage workers then record
+  /// wall-clock compute spans, recv-wait spans and channel-occupancy
+  /// counters, tagged with the pipeline index. Must be called before the
+  /// first train_batch; the tracer must outlive this runtime.
+  void set_tracer(trace::Tracer* tracer);
+
+  /// This runtime's pipeline index (the replica number under
+  /// core::AvgPipe; default 0). Trace events carry it and fault-plan
+  /// records target it, traced or not. Must be called before the first
+  /// train_batch.
+  void set_pipeline_index(std::size_t index);
 
   /// Attach a fault plan (nullptr to clear): worker loops then consult its
   /// step-windowed records — straggler sleeps after ops, deterministic send
@@ -306,10 +311,11 @@ class PipelineRuntime {
   bool assert_link_slack_ = false;
   bool stopping_ = false;
 
-  // Tracing (optional): written before the first batch, read by workers
-  // after a start-channel recv, so the channel provides the ordering.
+  // Tracing (optional) and the pipeline index: written before the first
+  // batch, read by workers after a start-channel recv, so the channel
+  // provides the ordering.
   trace::Tracer* tracer_ = nullptr;
-  std::uint32_t trace_pipeline_ = 0;
+  std::uint32_t pipeline_index_ = 0;
 
   // Weight prediction (optional): written before the first batch, read by
   // workers after a start-channel recv (channel provides the ordering).

@@ -23,11 +23,8 @@ namespace {
 
 using core::AvgPipe;
 using core::AvgPipeConfig;
-using core::AvgPipeTrainer;
-using core::clone_values;
 using core::max_abs_diff;
 using core::ParamSet;
-using core::SyncPolicyConfig;
 using core::SyncPolicyKind;
 using data::Batch;
 using data::DataLoader;
@@ -446,7 +443,7 @@ TEST(CkptRngTest, RngSaveRestoreResumesTheDrawSequenceExactly) {
   EXPECT_THROW(b.restore_state("not an engine snapshot"), Error);
 }
 
-// -- serial resume bit-parity (one test per policy kind) ---------------------------------
+// -- resume bit-parity (one test per policy kind) ---------------------------------------
 
 class CkptResumeParityTest : public ::testing::TestWithParam<SyncPolicyKind> {};
 
@@ -454,66 +451,14 @@ std::string kind_name(const ::testing::TestParamInfo<SyncPolicyKind>& info) {
   return to_string(info.param);
 }
 
-TEST_P(CkptResumeParityTest, SerialResumeIsBitIdenticalToUninterruptedRun) {
-  // Train 10 rounds straight vs 5 rounds + durable checkpoint + restore into
-  // a *fresh* trainer + 5 more rounds: losses EXPECT_DOUBLE_EQ per round and
+TEST_P(CkptResumeParityTest, ResumeIsBitIdenticalToUninterruptedRun) {
+  // Train 8 rounds straight vs 4 rounds + durable checkpoint + restore into
+  // a *fresh* system + 4 more rounds: losses EXPECT_DOUBLE_EQ per round and
   // every parameter set exactly equal (0.0 max-abs delta). This is the
   // paper-level recovery contract: a crash costs wall-clock, never the
-  // trajectory.
-  const SyncPolicyKind kind = GetParam();
-  SyntheticFeatures ds(64, 6, 2, 3);
-  DataLoader loader(ds, 12, 1);
-  SyncPolicyConfig sync;
-  sync.kind = kind;
-  const std::size_t kHalf = 5, kTotal = 10;
-
-  AvgPipeTrainer uninterrupted(mlp_factory(6, 8, 2, 2), sgd_factory(0.1), 2,
-                               sync);
-  std::vector<double> losses;
-  for (std::size_t iter = 0; iter < kTotal; ++iter) {
-    losses.push_back(uninterrupted.train_iteration(
-        {loader.batch(iter, 0), loader.batch(iter, 1)}));
-  }
-
-  TempDir tmp;
-  ckpt::CheckpointDir ckpts(tmp.path);
-  {
-    AvgPipeTrainer first(mlp_factory(6, 8, 2, 2), sgd_factory(0.1), 2, sync);
-    for (std::size_t iter = 0; iter < kHalf; ++iter) {
-      first.train_iteration({loader.batch(iter, 0), loader.batch(iter, 1)});
-    }
-    const auto entry = ckpts.write(first.capture_state());
-    EXPECT_EQ(entry.step, static_cast<long>(kHalf));
-  }  // trainer destroyed: the "process" died
-
-  AvgPipeTrainer resumed(mlp_factory(6, 8, 2, 2), sgd_factory(0.1), 2, sync);
-  ckpt::TrainState state;
-  const auto res = ckpts.load_latest(&state);
-  ASSERT_TRUE(res.ok) << res.error;
-  EXPECT_EQ(res.fallbacks, 0);
-  resumed.restore_state(state);
-  EXPECT_EQ(resumed.iterations(), static_cast<long>(kHalf));
-
-  for (std::size_t iter = kHalf; iter < kTotal; ++iter) {
-    const double loss = resumed.train_iteration(
-        {loader.batch(iter, 0), loader.batch(iter, 1)});
-    EXPECT_DOUBLE_EQ(loss, losses[iter]) << "iter " << iter;
-  }
-  EXPECT_EQ(max_abs_diff(resumed.reference().params(),
-                         uninterrupted.reference().params()),
-            0.0);
-  for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(max_abs_diff(clone_values(resumed.replica(i).parameters()),
-                           clone_values(uninterrupted.replica(i).parameters())),
-              0.0)
-        << "replica " << i;
-  }
-}
-
-TEST_P(CkptResumeParityTest, ThreadedResumeIsBitIdenticalToUninterruptedRun) {
-  // Same contract on the full threaded system (sync mode is deterministic).
-  // XPipe makes this the deep test: its per-stage EMA predictor state rides
-  // in StageState and a missed delta would silently fork the trajectory.
+  // trajectory. Sync mode is deterministic. XPipe makes this the deep test:
+  // its per-stage EMA predictor state rides in StageState and a missed
+  // delta would silently fork the trajectory.
   const SyncPolicyKind kind = GetParam();
   SyntheticFeatures ds(64, 6, 2, 3);
   DataLoader loader(ds, 12, 1);
@@ -583,67 +528,13 @@ TEST_P(CkptCompressedResumeTest, Int8ResumeIsBitIdenticalToUninterruptedRun) {
   // part of TrainState, so a restore lands on the exact lossy trajectory the
   // uninterrupted compressed run follows — same quantization decisions, same
   // compensation, 0.0 delta.
-  const SyncPolicyKind kind = GetParam();
-  SyntheticFeatures ds(64, 6, 2, 3);
-  DataLoader loader(ds, 12, 1);
-  SyncPolicyConfig sync;
-  sync.kind = kind;
-  core::SyncCompression int8;
-  int8.codec = tensor::Codec::kInt8;
-  const std::size_t kHalf = 5, kTotal = 10;
-
-  AvgPipeTrainer uninterrupted(mlp_factory(6, 8, 2, 2), sgd_factory(0.1), 2,
-                               sync);
-  uninterrupted.set_sync_compression(int8);
-  std::vector<double> losses;
-  for (std::size_t iter = 0; iter < kTotal; ++iter) {
-    losses.push_back(uninterrupted.train_iteration(
-        {loader.batch(iter, 0), loader.batch(iter, 1)}));
-  }
-
-  TempDir tmp;
-  ckpt::CheckpointDir ckpts(tmp.path);
-  {
-    AvgPipeTrainer first(mlp_factory(6, 8, 2, 2), sgd_factory(0.1), 2, sync);
-    first.set_sync_compression(int8);
-    for (std::size_t iter = 0; iter < kHalf; ++iter) {
-      first.train_iteration({loader.batch(iter, 0), loader.batch(iter, 1)});
-    }
-    const ckpt::TrainState state = first.capture_state();
-    EXPECT_EQ(state.sync_codec,
-              static_cast<std::uint8_t>(tensor::Codec::kInt8));
-    ckpts.write(state);
-  }
-
-  AvgPipeTrainer resumed(mlp_factory(6, 8, 2, 2), sgd_factory(0.1), 2, sync);
-  resumed.set_sync_compression(int8);
-  ckpt::TrainState state;
-  const auto res = ckpts.load_latest(&state);
-  ASSERT_TRUE(res.ok) << res.error;
-  resumed.restore_state(state);
-
-  for (std::size_t iter = kHalf; iter < kTotal; ++iter) {
-    const double loss = resumed.train_iteration(
-        {loader.batch(iter, 0), loader.batch(iter, 1)});
-    EXPECT_DOUBLE_EQ(loss, losses[iter]) << "iter " << iter;
-  }
-  EXPECT_EQ(max_abs_diff(resumed.reference().params(),
-                         uninterrupted.reference().params()),
-            0.0);
-}
-
-INSTANTIATE_TEST_SUITE_P(AllPolicies, CkptCompressedResumeTest,
-                         ::testing::ValuesIn(core::all_sync_policies()),
-                         kind_name);
-
-TEST(CkptCompressedSystemTest, ThreadedInt8ResumeIsBitIdentical) {
-  // Same contract on the threaded system with the codec pinned in config.
   SyntheticFeatures ds(64, 6, 2, 3);
   DataLoader loader(ds, 12, 1);
   AvgPipeConfig cfg;
   cfg.num_pipelines = 2;
   cfg.micro_batches = 3;
   cfg.boundaries = {2};
+  cfg.sync.kind = GetParam();
   core::SyncCompression int8;
   int8.codec = tensor::Codec::kInt8;
   cfg.sync_compression = int8;
@@ -665,6 +556,8 @@ TEST(CkptCompressedSystemTest, ThreadedInt8ResumeIsBitIdentical) {
     for (std::size_t iter = 0; iter < kHalf; ++iter) {
       first.train_iteration({loader.batch(iter, 0), loader.batch(iter, 1)});
     }
+    EXPECT_EQ(first.capture_state().sync_codec,
+              static_cast<std::uint8_t>(tensor::Codec::kInt8));
     first.save_checkpoint();
   }
 
@@ -680,7 +573,17 @@ TEST(CkptCompressedSystemTest, ThreadedInt8ResumeIsBitIdentical) {
   EXPECT_EQ(max_abs_diff(resumed.reference_snapshot(),
                          uninterrupted.reference_snapshot()),
             0.0);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(max_abs_diff(resumed.replica_snapshot(i),
+                           uninterrupted.replica_snapshot(i)),
+              0.0)
+        << "replica " << i;
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(AllPolicies, CkptCompressedResumeTest,
+                         ::testing::ValuesIn(core::all_sync_policies()),
+                         kind_name);
 
 TEST(CkptCompressedSystemTest, CodecMismatchResetsResidualsButRestores) {
   // A checkpoint written under one codec must still restore into a system
@@ -877,6 +780,82 @@ TEST(CkptEscalationTest, KillWithoutLoadableCheckpointFallsBackToBroadcast) {
   const double next =
       system.train_iteration({loader.batch(2, 0), loader.batch(2, 1)});
   EXPECT_TRUE(std::isfinite(next));
+}
+
+/// Two-stage, two-pipeline system that escalates failures to a restore from
+/// `ckpts` (left empty by the callers: the restore falls back to the
+/// broadcast rejoin).
+AvgPipeConfig escalating_config(ckpt::CheckpointDir* ckpts,
+                                const fault::FaultPlan* plan) {
+  AvgPipeConfig cfg;
+  cfg.num_pipelines = 2;
+  cfg.micro_batches = 3;
+  cfg.boundaries = {2};
+  cfg.checkpoints = ckpts;
+  cfg.restore_on_failure = true;
+  cfg.faults = plan;
+  return cfg;
+}
+
+TEST(CkptEscalationTest, RestoredPipelineLossIsNotAveraged) {
+  // Both replicas see the same batch, so they stay identical and the mean
+  // loss equals either one's. A restored pipeline never finished its batch:
+  // the kill-step loss must be the survivor's, not halved by a 0.0.
+  SyntheticFeatures ds(64, 6, 2, 3);
+  DataLoader loader(ds, 12, 1);
+  TempDir tmp;
+  ckpt::CheckpointDir ckpts(tmp.path);
+
+  fault::FaultPlan none;
+  fault::FaultPlan plan;
+  fault::WorkerKill kill;
+  kill.pipeline = 1;
+  kill.step = 2;
+  kill.micro_batch = 1;
+  plan.kills.push_back(kill);
+
+  AvgPipe uninterrupted(mlp_factory(6, 8, 2, 2), sgd_factory(0.1),
+                        escalating_config(&ckpts, &none));
+  AvgPipeConfig killed_cfg = escalating_config(&ckpts, &plan);
+  trace::Tracer tracer;  // traced, so the kill targets pipeline 1 either way
+  killed_cfg.tracer = &tracer;
+  AvgPipe killed(mlp_factory(6, 8, 2, 2), sgd_factory(0.1), killed_cfg);
+  for (std::size_t iter = 0; iter < 3; ++iter) {
+    const Batch b = loader.batch(iter, 0);
+    const double expected = uninterrupted.train_iteration({b, b});
+    EXPECT_DOUBLE_EQ(killed.train_iteration({b, b}), expected)
+        << "iter " << iter;
+  }
+  EXPECT_EQ(killed.health(1).failures, 1u);
+  EXPECT_EQ(killed.alive_pipelines(), 2u);
+}
+
+TEST(CkptEscalationTest, KillingEveryPipelineThrowsThenTrainsOn) {
+  // When no pipeline completes its batch there is no loss to report and no
+  // round to apply: the call throws after restoring both pipelines, and the
+  // next call trains normally.
+  SyntheticFeatures ds(64, 6, 2, 3);
+  DataLoader loader(ds, 12, 1);
+  TempDir tmp;
+  ckpt::CheckpointDir ckpts(tmp.path);
+
+  fault::FaultPlan plan;
+  fault::WorkerKill kill;  // every pipeline, every stage
+  kill.step = 1;
+  plan.kills.push_back(kill);
+
+  AvgPipe system(mlp_factory(6, 8, 2, 2), sgd_factory(0.1),
+                 escalating_config(&ckpts, &plan));
+  system.train_iteration({loader.batch(0, 0), loader.batch(0, 1)});
+  EXPECT_THROW(
+      system.train_iteration({loader.batch(1, 0), loader.batch(1, 1)}),
+      Error);
+  EXPECT_EQ(system.alive_pipelines(), 2u);
+
+  const double loss =
+      system.train_iteration({loader.batch(2, 0), loader.batch(2, 1)});
+  EXPECT_TRUE(std::isfinite(loss));
+  EXPECT_EQ(system.alive_pipelines(), 2u);
 }
 
 }  // namespace

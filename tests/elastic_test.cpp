@@ -32,6 +32,15 @@ nn::ModelFactory mlp_factory(std::size_t in, std::size_t hidden,
   };
 }
 
+/// The one-stage serial configuration: every replica trains its whole batch
+/// in one step and the driver waits for each reference apply.
+AvgPipeConfig serial_config(std::size_t num_pipelines) {
+  AvgPipeConfig config;
+  config.num_pipelines = num_pipelines;
+  config.micro_batches = 1;
+  return config;
+}
+
 // -- primitives -----------------------------------------------------------------------
 
 TEST(ElasticMathTest, DefaultAlphaIsOneOverN) {
@@ -182,9 +191,9 @@ TEST(SyncPolicyBatching, ApplyRoundsMatchesSequentialLoopForEveryPolicy) {
   }
 }
 
-// -- AvgPipeTrainer (semantics) ----------------------------------------------------------
+// -- one-stage serial configuration (update semantics) ----------------------------------
 
-TEST(AvgPipeTrainerTest, SinglePipelineMatchesSync) {
+TEST(AvgPipeSerialTest, SinglePipelineMatchesSync) {
   // With N=1, alpha=1: pull makes x == ref trivially and the update keeps
   // ref == x, so training degenerates to plain SGD.
   SyntheticFeatures ds(32, 4, 2, 3);
@@ -194,33 +203,32 @@ TEST(AvgPipeTrainerTest, SinglePipelineMatchesSync) {
   auto opt = std::make_unique<optim::Sgd>(sync_model.parameters(), 0.1);
   runtime::SyncTrainer sync(sync_model, std::move(opt));
 
-  AvgPipeTrainer avg(mlp_factory(4, 6, 2, 2), sgd_factory(0.1), 1);
+  AvgPipeConfig config = serial_config(1);
   // This test asserts the exact uncompressed invariant (ref == replica to
   // 1e-12); pin compression off so a CI-forced AVGPIPE_SYNC_COMPRESS doesn't
   // quantize the pushed update.
-  avg.set_sync_compression(SyncCompression{});
+  config.sync_compression = SyncCompression{};
+  AvgPipe avg(mlp_factory(4, 6, 2, 2), sgd_factory(0.1), config);
 
   for (int i = 0; i < 3; ++i) {
     const Batch b = loader.batch(0, static_cast<std::size_t>(i));
     sync.train_batch(b);
-    avg.train_iteration({b});
+    avg.train_batch(b);
   }
   // Same trajectory? Initial weights differ (seed 7 vs 1234), so compare
   // behaviourally: both must have a consistent reference==weights invariant.
-  auto replica = avg.replica(0).parameters();
-  const auto& ref = avg.reference().params();
-  for (std::size_t i = 0; i < replica.size(); ++i) {
-    EXPECT_LT(replica[i].value().max_abs_diff(ref[i]), 1e-12);
-  }
+  EXPECT_LT(max_abs_diff(avg.replica_snapshot(0), avg.reference_snapshot()),
+            1e-12);
 }
 
-TEST(AvgPipeTrainerTest, ReferenceIsMeanAfterEveryIteration) {
+TEST(AvgPipeSerialTest, ReferenceIsMeanAfterEveryIteration) {
   SyntheticFeatures ds(64, 4, 2, 3);
   DataLoader loader(ds, 8, 1);
-  AvgPipeTrainer avg(mlp_factory(4, 8, 2, 2), sgd_factory(0.1), 3);
+  AvgPipeConfig config = serial_config(3);
   // The exact-mean invariant only holds for lossless pushes; pin off so the
   // test is immune to an env-forced codec.
-  avg.set_sync_compression(SyncCompression{});
+  config.sync_compression = SyncCompression{};
+  AvgPipe avg(mlp_factory(4, 8, 2, 2), sgd_factory(0.1), config);
 
   for (std::size_t iter = 0; iter < 3; ++iter) {
     std::vector<Batch> batches;
@@ -229,39 +237,40 @@ TEST(AvgPipeTrainerTest, ReferenceIsMeanAfterEveryIteration) {
     }
     avg.train_iteration(batches);
 
-    const auto& ref = avg.reference().params();
+    const ParamSet ref = avg.reference_snapshot();
+    std::vector<ParamSet> replicas;
+    for (std::size_t p = 0; p < 3; ++p) {
+      replicas.push_back(avg.replica_snapshot(p));
+    }
     for (std::size_t t = 0; t < ref.size(); ++t) {
       Tensor mean(ref[t].shape());
       for (std::size_t p = 0; p < 3; ++p) {
-        mean.axpy_(1.0 / 3.0, avg.replica(p).parameters()[t].value());
+        mean.axpy_(1.0 / 3.0, replicas[p][t]);
       }
       EXPECT_LT(mean.max_abs_diff(ref[t]), 1e-10);
     }
   }
 }
 
-TEST(AvgPipeTrainerTest, ReplicasStayClose) {
+TEST(AvgPipeSerialTest, ReplicasStayClose) {
   // The elastic pull must prevent divergence (paper §3.1, Figure 5).
   SyntheticFeatures ds(64, 4, 2, 3);
   DataLoader loader(ds, 8, 1);
-  AvgPipeTrainer avg(mlp_factory(4, 8, 2, 2), sgd_factory(0.1), 2);
+  AvgPipe avg(mlp_factory(4, 8, 2, 2), sgd_factory(0.1), serial_config(2));
   for (std::size_t iter = 0; iter < 10; ++iter) {
     avg.train_iteration({loader.batch(iter, 0), loader.batch(iter, 1)});
   }
-  auto p0 = avg.replica(0).parameters();
-  auto p1 = avg.replica(1).parameters();
-  double diff = 0, scale = 0;
-  for (std::size_t i = 0; i < p0.size(); ++i) {
-    diff = std::max(diff, p0[i].value().max_abs_diff(p1[i].value()));
-    scale = std::max(scale, p0[i].value().abs_max());
-  }
-  EXPECT_LT(diff, scale);  // same order of magnitude, not divergent
+  const ParamSet p0 = avg.replica_snapshot(0);
+  double scale = 0;
+  for (const auto& t : p0) scale = std::max(scale, t.abs_max());
+  // Same order of magnitude, not divergent.
+  EXPECT_LT(max_abs_diff(p0, avg.replica_snapshot(1)), scale);
 }
 
-TEST(AvgPipeTrainerTest, ConvergesOnSeparableData) {
+TEST(AvgPipeSerialTest, ConvergesOnSeparableData) {
   SyntheticFeatures ds(128, 6, 2, 3, /*noise=*/0.15);
   DataLoader loader(ds, 16, 7);
-  AvgPipeTrainer avg(mlp_factory(6, 12, 2, 2), sgd_factory(0.3), 2);
+  AvgPipe avg(mlp_factory(6, 12, 2, 2), sgd_factory(0.3), serial_config(2));
   for (std::size_t epoch = 0; epoch < 10; ++epoch) {
     for (std::size_t i = 0; i + 1 < loader.batches_per_epoch(); i += 2) {
       avg.train_iteration({loader.batch(epoch, i), loader.batch(epoch, i + 1)});
@@ -270,22 +279,22 @@ TEST(AvgPipeTrainerTest, ConvergesOnSeparableData) {
   EXPECT_GT(runtime::evaluate_accuracy(avg.eval_model(), loader, 0, 4), 0.9);
 }
 
-TEST(AvgPipeTrainerTest, WrongBatchCountThrows) {
-  AvgPipeTrainer avg(mlp_factory(4, 6, 1, 2), sgd_factory(0.1), 2);
+TEST(AvgPipeSerialTest, WrongBatchCountThrows) {
+  AvgPipe avg(mlp_factory(4, 6, 1, 2), sgd_factory(0.1), serial_config(2));
   Batch b{Tensor({4, 4}), {0, 1, 0, 1}};
   EXPECT_THROW(avg.train_iteration({b}), Error);
 }
 
-TEST(AvgPipeTrainerTest, WorksWithAdam) {
+TEST(AvgPipeSerialTest, WorksWithAdam) {
   // §3.1: the framework must be optimizer-agnostic.
   SyntheticFeatures ds(64, 4, 2, 3, 0.15);
   DataLoader loader(ds, 8, 1);
-  AvgPipeTrainer avg(
+  AvgPipe avg(
       mlp_factory(4, 8, 2, 2),
       [](std::vector<Variable> params) {
         return std::make_unique<optim::Adam>(std::move(params), 0.01);
       },
-      2, 0.0, "AvgPipe-Adam");
+      serial_config(2));
   for (std::size_t iter = 0; iter < 20; ++iter) {
     avg.train_iteration({loader.batch(iter, 0), loader.batch(iter, 1)});
   }
@@ -294,9 +303,10 @@ TEST(AvgPipeTrainerTest, WorksWithAdam) {
 
 // -- AvgPipe (full threaded system) -----------------------------------------------------
 
-TEST(AvgPipeSystemTest, MatchesSemanticTrainerTrajectory) {
-  // The threaded system (N pipeline runtimes + async reference process) must
-  // produce the same parameters as the single-threaded semantic trainer.
+TEST(AvgPipeSystemTest, TwoStageMatchesOneStageTrajectory) {
+  // Pipelining a replica (two stages, three micro-batches) must not change
+  // the update rule: the reference follows the one-stage serial
+  // configuration up to the micro-batch summation order.
   SyntheticFeatures ds(64, 6, 2, 3);
   DataLoader loader(ds, 12, 1);
 
@@ -305,7 +315,8 @@ TEST(AvgPipeSystemTest, MatchesSemanticTrainerTrajectory) {
   config.micro_batches = 3;
   config.boundaries = {2};
   AvgPipe system(mlp_factory(6, 8, 2, 2), sgd_factory(0.1), config);
-  AvgPipeTrainer semantic(mlp_factory(6, 8, 2, 2), sgd_factory(0.1), 2);
+  AvgPipe semantic(mlp_factory(6, 8, 2, 2), sgd_factory(0.1),
+                   serial_config(2));
 
   for (std::size_t iter = 0; iter < 3; ++iter) {
     std::vector<Batch> batches{loader.batch(iter, 0), loader.batch(iter, 1)};
@@ -313,7 +324,7 @@ TEST(AvgPipeSystemTest, MatchesSemanticTrainerTrajectory) {
     semantic.train_iteration(batches);
   }
   const ParamSet sys_ref = system.reference_snapshot();
-  const auto& sem_ref = semantic.reference().params();
+  const ParamSet sem_ref = semantic.reference_snapshot();
   ASSERT_EQ(sys_ref.size(), sem_ref.size());
   for (std::size_t i = 0; i < sys_ref.size(); ++i) {
     EXPECT_LT(sys_ref[i].max_abs_diff(sem_ref[i]), 1e-9) << "tensor " << i;
@@ -449,11 +460,14 @@ TEST(AvgPipeAsyncTest, TracesSyncLagCounterAndOffCriticalPathPulls) {
       EXPECT_GE(ev.value, 0.0);
     }
     if (ev.kind == trace::EventKind::kElasticPull) ++pulls;
-    if (ev.kind == trace::EventKind::kReferenceApply) ++applies;
+    if (ev.kind == trace::EventKind::kReferenceApply) {
+      applies += static_cast<std::size_t>(ev.value);
+    }
   }
   // One lag sample per iteration; one pull per alive replica per iteration
-  // (recorded by the replica worker threads, not the driver); one reference
-  // apply per dispatched round.
+  // (recorded by the replica worker threads, not the driver); every
+  // dispatched round applied once. The reference thread may fold several
+  // queued rounds into one apply span, whose value is its round count.
   EXPECT_EQ(lag_samples, iters);
   EXPECT_EQ(pulls, 2 * iters);
   EXPECT_EQ(applies, iters);
@@ -500,7 +514,7 @@ TEST(AvgPipeElasticTest, DetachRebalancesAlphaAndTrainingConverges) {
             0.9);
 }
 
-TEST(AvgPipeElasticTest, LoneSurvivorMatchesSinglePipelineTrainer) {
+TEST(AvgPipeElasticTest, LoneSurvivorMatchesSinglePipelineSystem) {
   // After every peer dies, normalising by N_alive must leave the reference
   // exactly on the lone survivor's trajectory — i.e. the degraded system IS
   // a single-pipeline AvgPipe, not a wounded N-pipeline one.
@@ -515,14 +529,14 @@ TEST(AvgPipeElasticTest, LoneSurvivorMatchesSinglePipelineTrainer) {
   system.detach_pipeline(1, "dead before the first batch");
   EXPECT_DOUBLE_EQ(system.alpha(), default_alpha(1));
 
-  AvgPipeTrainer lone(mlp_factory(6, 8, 2, 2), sgd_factory(0.1), 1);
+  AvgPipe lone(mlp_factory(6, 8, 2, 2), sgd_factory(0.1), serial_config(1));
   for (std::size_t iter = 0; iter < 3; ++iter) {
     const Batch b = loader.batch(iter, 0);
     system.train_iteration({b, loader.batch(iter, 1)});  // slot 1 ignored
-    lone.train_iteration({b});
+    lone.train_batch(b);
   }
   const ParamSet sys_ref = system.reference_snapshot();
-  const auto& lone_ref = lone.reference().params();
+  const ParamSet lone_ref = lone.reference_snapshot();
   ASSERT_EQ(sys_ref.size(), lone_ref.size());
   for (std::size_t i = 0; i < sys_ref.size(); ++i) {
     EXPECT_LT(sys_ref[i].max_abs_diff(lone_ref[i]), 1e-9) << "tensor " << i;
@@ -583,11 +597,10 @@ TEST(SyncCompressionTest, OffModeIsBitIdenticalToDefaultPath) {
   }
 }
 
-TEST(SyncCompressionTest, CompressedThreadedMatchesSemanticTrainer) {
-  // The serial trainer's generic compressed round must stay the semantic
-  // model of the threaded system when both pin the same codec: same
-  // transmission points (initial broadcast, per-replica push, re-publish),
-  // same replica order.
+TEST(SyncCompressionTest, CompressedTwoStageMatchesOneStage) {
+  // Under a pinned codec the pipelined system must stay on the one-stage
+  // serial trajectory: same transmission points (initial broadcast,
+  // per-replica push, re-publish), same replica order.
   SyntheticFeatures ds(64, 6, 2, 3);
   DataLoader loader(ds, 12, 1);
 
@@ -597,8 +610,9 @@ TEST(SyncCompressionTest, CompressedThreadedMatchesSemanticTrainer) {
   config.boundaries = {2};
   config.sync_compression = int8_compression();
   AvgPipe system(mlp_factory(6, 8, 2, 2), sgd_factory(0.1), config);
-  AvgPipeTrainer semantic(mlp_factory(6, 8, 2, 2), sgd_factory(0.1), 2);
-  semantic.set_sync_compression(int8_compression());
+  AvgPipeConfig serial = serial_config(2);
+  serial.sync_compression = int8_compression();
+  AvgPipe semantic(mlp_factory(6, 8, 2, 2), sgd_factory(0.1), serial);
 
   for (std::size_t iter = 0; iter < 3; ++iter) {
     std::vector<Batch> batches{loader.batch(iter, 0), loader.batch(iter, 1)};
@@ -606,7 +620,7 @@ TEST(SyncCompressionTest, CompressedThreadedMatchesSemanticTrainer) {
     semantic.train_iteration(batches);
   }
   const ParamSet sys_ref = system.reference_snapshot();
-  const auto& sem_ref = semantic.reference().params();
+  const ParamSet sem_ref = semantic.reference_snapshot();
   ASSERT_EQ(sys_ref.size(), sem_ref.size());
   for (std::size_t i = 0; i < sys_ref.size(); ++i) {
     EXPECT_LT(sys_ref[i].max_abs_diff(sem_ref[i]), 1e-9) << "tensor " << i;
@@ -619,8 +633,9 @@ TEST(SyncCompressionTest, Int8ErrorFeedbackConverges) {
   // quantization noise from accumulating into a bias.
   SyntheticFeatures ds(128, 6, 2, 3, /*noise=*/0.15);
   DataLoader loader(ds, 16, 7);
-  AvgPipeTrainer avg(mlp_factory(6, 12, 2, 2), sgd_factory(0.3), 2);
-  avg.set_sync_compression(int8_compression());
+  AvgPipeConfig config = serial_config(2);
+  config.sync_compression = int8_compression();
+  AvgPipe avg(mlp_factory(6, 12, 2, 2), sgd_factory(0.3), config);
   double loss = 0.0;
   for (std::size_t epoch = 0; epoch < 10; ++epoch) {
     for (std::size_t i = 0; i + 1 < loader.batches_per_epoch(); i += 2) {
@@ -801,6 +816,37 @@ TEST(AvgPipeElasticTest, FaultPlanDrivesCrashAndRejoinBySteps) {
   const auto recoveries = analysis.recoveries();
   ASSERT_EQ(recoveries.size(), 1u);
   EXPECT_TRUE(recoveries[0].rejoined);
+}
+
+TEST(AvgPipeElasticTest, UntracedWorkerKillTargetsOnlyItsPipeline) {
+  // Fault-plan records target the runtime's pipeline index whether or not a
+  // tracer is attached: a kill aimed at pipeline 1 must leave pipeline 0
+  // running.
+  SyntheticFeatures ds(64, 6, 2, 3);
+  DataLoader loader(ds, 12, 1);
+
+  fault::FaultPlan plan;
+  fault::WorkerKill kill;
+  kill.pipeline = 1;
+  kill.step = 1;
+  plan.kills.push_back(kill);
+
+  AvgPipeConfig config;
+  config.num_pipelines = 2;
+  config.micro_batches = 3;
+  config.boundaries = {2};
+  config.faults = &plan;
+  AvgPipe system(mlp_factory(6, 8, 2, 2), sgd_factory(0.1), config);
+
+  for (std::size_t iter = 0; iter < 3; ++iter) {
+    const double loss =
+        system.train_iteration({loader.batch(iter, 0), loader.batch(iter, 1)});
+    EXPECT_TRUE(std::isfinite(loss)) << "iter " << iter;
+  }
+  EXPECT_TRUE(system.pipeline_alive(0));
+  EXPECT_EQ(system.health(0).failures, 0u);
+  EXPECT_FALSE(system.pipeline_alive(1));
+  EXPECT_EQ(system.health(1).failures, 1u);
 }
 
 TEST(AvgPipeElasticTest, DetachingEveryPipelineMakesTrainingThrow) {

@@ -133,7 +133,11 @@ TEST(IntegrationTest, StatisticalEfficiencyOrderingOnTinyTask) {
   runtime::SyncTrainer sync(sync_model, sgd(sync_model.parameters()));
   const std::size_t sync_epochs = run_epochs(sync);
 
-  core::AvgPipeTrainer avg(factory, sgd, 2);
+  // One-stage serial configuration: the update rule alone, as in Fig 14.
+  core::AvgPipeConfig avg_cfg;
+  avg_cfg.num_pipelines = 2;
+  avg_cfg.micro_batches = 1;
+  core::AvgPipe avg(factory, sgd, avg_cfg);
   const std::size_t avg_epochs = run_epochs(avg);
 
   nn::Sequential stale_model = factory(1234);

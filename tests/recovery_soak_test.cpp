@@ -54,8 +54,10 @@ struct TempDir {
 // the long one): a seeded plan of mid-batch worker kills at randomized crash
 // points, periodic durable checkpoints, and periodic bit-flip corruption of
 // the newest checkpoint file. Invariants, every cycle:
-//   - train_iteration never throws and every reported loss is finite (a lost
-//     round reports 0.0 over the survivors, which still counts as contained);
+//   - every reported loss is finite; train_iteration throws only when every
+//     pipeline failed in the round (a restored runtime's step counter
+//     restarts, so an old kill record can fire beside a new one), and then
+//     applies no round;
 //   - every killed pipeline is re-attached before the next iteration;
 //   - corrupted checkpoints only ever cost fallbacks, never a crash;
 //   - the collected trace replays clean through the happens-before checker
@@ -96,9 +98,15 @@ TEST(RecoverySoakTest, RandomizedKillRestoreCyclesPreserveInvariants) {
 
   std::size_t corruptions = 0;
   for (std::size_t iter = 0; iter < kIters; ++iter) {
-    const double loss =
-        system.train_iteration({loader.batch(iter, 0), loader.batch(iter, 1)});
-    EXPECT_TRUE(std::isfinite(loss)) << "iter " << iter;
+    try {
+      const double loss = system.train_iteration(
+          {loader.batch(iter, 0), loader.batch(iter, 1)});
+      EXPECT_TRUE(std::isfinite(loss)) << "iter " << iter;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("every pipeline failed"),
+                std::string::npos)
+          << "iter " << iter << ": " << e.what();
+    }
     EXPECT_EQ(system.alive_pipelines(), 2u) << "iter " << iter;
     if (iter % 4 == 3) system.save_checkpoint();
     if (iter % 9 == 8 && !ckpts.entries().empty()) {
