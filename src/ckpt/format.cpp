@@ -6,31 +6,46 @@ namespace avgpipe::ckpt {
 
 namespace {
 
-/// Software CRC-32 table (reflected 0xEDB88320), built once.
-const std::array<std::uint32_t, 256>& crc_table() {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
+/// Slicing-by-8 tables for the reflected polynomial 0xEDB88320, built once.
+/// tables[0] is the classic byte-at-a-time table; tables[k][b] is the CRC of
+/// byte b followed by k zero bytes, so eight table lookups fold eight input
+/// bytes per step and give the same CRC as the bytewise loop.
+const std::array<std::array<std::uint32_t, 256>, 8>& crc_tables() {
+  static const auto tables = [] {
+    std::array<std::array<std::uint32_t, 256>, 8> t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (std::size_t k = 1; k < 8; ++k) {
+      for (std::uint32_t i = 0; i < 256; ++i) {
+        t[k][i] = t[0][t[k - 1][i] & 0xFFu] ^ (t[k - 1][i] >> 8);
+      }
     }
     return t;
   }();
-  return table;
+  return tables;
 }
 
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
-  const auto& table = crc_table();
+  const auto& t = crc_tables();
   const auto* p = static_cast<const std::uint8_t*>(data);
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  // Eight bytes per step; the bytes are assembled explicitly (little-endian
+  // order), so the result does not depend on host byte order or alignment.
+  for (; size >= 8; p += 8, size -= 8) {
+    const std::uint32_t lo =
+        c ^ (std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
+             std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
+        t[4][lo >> 24] ^ t[3][p[4]] ^ t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]];
   }
+  for (; size > 0; ++p, --size) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 

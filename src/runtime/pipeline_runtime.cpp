@@ -490,6 +490,7 @@ void PipelineRuntime::run_forward(Stage& stage, const schedule::Instr& instr,
   // The boundary input needs a gradient on every stage but the first.
   const Seconds t0 = stage.trace_buf ? tracer_->wall_now() : 0;
   tensor::Variable in(std::move(msg->payload), /*requires_grad=*/!first);
+  if (!first) in.provide_grad_buffer(std::move(msg->grad));
   tensor::Variable out = stage.module.forward(in);
   Stash stash;
   stash.input = in;
@@ -502,7 +503,8 @@ void PipelineRuntime::run_forward(Stage& stage, const schedule::Instr& instr,
     common::RoleGuard out_role(acts_[stage.index]->producer_role());
     faulty_send(stage, *acts_[stage.index],
                 ActMessage{instr.micro_batch, out.value(),
-                           std::move(msg->targets)},
+                           std::move(msg->targets),
+                           tensor::Tensor::uninitialized(out.shape())},
                 instr, step, fault::LinkDir::kActivation);
     stash.output = out;
   }
@@ -543,15 +545,21 @@ void PipelineRuntime::run_backward(Stage& stage,
     stash.output.backward(grad->payload);
   }
   if (!first) {
-    // Ownership transfer, not a clone: the stash entry dies at end of scope
-    // and the receiver's accumulate_grad deep-copies the seed into its own
-    // grad buffer on first contribution, so the storage is never shared
-    // across the link after the send. One producer per outbound gradient
-    // link: this stage thread.
+    // Ownership transfer, not a clone: the input gradient was computed into
+    // the buffer the upstream stage sent with the activation, and goes back
+    // to it. The receiver's accumulate_grad deep-copies the seed into its
+    // own grad buffer on first contribution, so the storage is never shared
+    // across the link after the send.
+    tensor::Tensor input_grad = std::move(stash.input.mutable_grad());
+    // Drop this micro-batch's graph before the send. It holds the upstream
+    // stage's activation, which must be back in that stage's arena before
+    // this gradient lets the stage run on; otherwise whether its next
+    // forward finds a free buffer would depend on thread timing.
+    stash = Stash{};
+    // One producer per outbound gradient link: this stage thread.
     common::RoleGuard out_role(grads_[stage.index - 1]->producer_role());
     faulty_send(stage, *grads_[stage.index - 1],
-                GradMessage{instr.micro_batch,
-                            std::move(stash.input.mutable_grad())},
+                GradMessage{instr.micro_batch, std::move(input_grad)},
                 instr, step, fault::LinkDir::kGradient);
   }
   record_span(stage, trace::EventKind::kBackward, instr, t0);

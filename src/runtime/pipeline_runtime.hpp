@@ -189,10 +189,21 @@ class PipelineRuntime {
     int micro_batch = -1;
     tensor::Tensor payload;
     std::vector<int> targets;  ///< forwarded to the loss head
+    /// Uninitialized buffer of payload's shape, acquired by the sending
+    /// stage, that the receiver computes payload's gradient into and sends
+    /// back. So the gradient buffer is acquired and released on the same
+    /// thread, at points fixed by that stage's own schedule, and a
+    /// steady-state step needs no heap allocation whatever the timing.
+    /// Empty on the feed link (stage 0's input needs no gradient).
+    tensor::Tensor grad;
 
     ActMessage() = default;
-    ActMessage(int mb, tensor::Tensor p, std::vector<int> t)
-        : micro_batch(mb), payload(std::move(p)), targets(std::move(t)) {}
+    ActMessage(int mb, tensor::Tensor p, std::vector<int> t,
+               tensor::Tensor g = {})
+        : micro_batch(mb),
+          payload(std::move(p)),
+          targets(std::move(t)),
+          grad(std::move(g)) {}
     ActMessage(ActMessage&&) = default;
     ActMessage& operator=(ActMessage&&) = default;
     ActMessage(const ActMessage&) = delete;

@@ -109,6 +109,7 @@ double StalenessTrainer::train_batch(const data::Batch& batch) {
 
 double evaluate_accuracy(nn::Sequential& model, data::DataLoader& loader,
                          std::size_t epoch, std::size_t batches) {
+  tensor::NoGradGuard no_grad;  // forward only: keep no tape
   model.set_training(false);
   double acc = 0;
   const std::size_t n = std::min(batches, loader.batches_per_epoch());
@@ -124,6 +125,7 @@ double evaluate_accuracy(nn::Sequential& model, data::DataLoader& loader,
 
 double evaluate_loss(nn::Sequential& model, data::DataLoader& loader,
                      std::size_t epoch, std::size_t batches) {
+  tensor::NoGradGuard no_grad;  // forward only: keep no tape
   model.set_training(false);
   double loss = 0;
   const std::size_t n = std::min(batches, loader.batches_per_epoch());

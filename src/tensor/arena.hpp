@@ -15,13 +15,25 @@
 ///  - Buffers are raw 64-byte-aligned `Scalar` arrays, *uninitialized* on
 ///    acquire. Callers that need zeros must fill explicitly (`Tensor(Shape)`
 ///    still zero-fills; `Tensor::uninitialized` does not).
-///  - Free lists are `thread_local`; a buffer released on a different thread
-///    than it was acquired on simply migrates caches. No locks anywhere.
-///  - After a thread's cache is destroyed (thread exit / static teardown),
-///    acquire/release fall back to the plain heap, so tensors with static
-///    storage duration stay safe.
+///  - Every buffer carries a 64-byte header in front of its data (so the
+///    data stays 64-byte aligned) that records its bucket capacity and its
+///    *home*: the cache of the thread that allocated it.
+///  - Owner return, in the style of mimalloc. A buffer released on its home
+///    thread goes onto that thread's free list. A buffer released on another
+///    thread is pushed (one CAS) onto its home's lock-free remote stack; the
+///    owner takes the whole stack with one exchange on its next free-list
+///    miss. So a one-way flow (stage k -> k+1, replica -> reference thread)
+///    recycles into the producer's cache instead of growing the consumer's,
+///    and a steady-state step allocates nothing from the heap. No locks on
+///    acquire/release.
+///  - On thread exit the cache frees its buffers to the heap and its home is
+///    parked; the next new thread adopts it. Homes are never deleted (their
+///    number is bounded by the peak count of live threads), so a release
+///    after the owner exited is always safe. After a thread's home is gone
+///    (thread teardown / static destruction) acquire/release use the plain
+///    heap, so tensors with static storage duration stay safe.
 ///  - The per-thread cache is capped (AVGPIPE_ARENA_MAX_MB, default 256);
-///    releases beyond the cap free eagerly.
+///    buffers beyond the cap are freed eagerly.
 
 #include <cstddef>
 #include <cstdint>
@@ -33,8 +45,11 @@ using Scalar = double;
 namespace avgpipe::tensor::arena {
 
 /// Monotonic counters. `acquires` = all acquire() calls; `hits` = served from
-/// a free list; `heap_allocs` = fell through to the heap. Process-wide
-/// (relaxed atomics) so benches can measure allocs/op across worker threads.
+/// a free list; `heap_allocs` = fell through to the heap; `releases` = all
+/// release() calls; `heap_frees` = buffers given back to the heap. Each
+/// thread counts its own calls (a release is counted by the releasing
+/// thread, a cap overflow found while draining the remote stack by the
+/// owner).
 struct Stats {
   std::uint64_t acquires = 0;
   std::uint64_t hits = 0;
@@ -55,11 +70,17 @@ void release(Scalar* p, std::size_t n) noexcept;
 /// so tests can assert bucketing behaviour.
 std::size_t bucket_capacity(std::size_t n);
 
-/// Process-wide counters since start (or last reset_stats()).
+/// Process-wide counters since start (or last reset_stats()): the sum over
+/// every thread, live or exited.
 Stats stats();
+/// The calling thread's counters since it started (or its last
+/// reset_stats()); unaffected by other threads, e.g. pool workers.
+Stats thread_stats();
+/// Restart both stats() and the calling thread's thread_stats() at zero.
 void reset_stats();
 
-/// Drop every cached buffer owned by the calling thread.
+/// Free every cached buffer of the calling thread's home, remotely released
+/// ones included, to the heap.
 void clear_thread_cache();
 
 /// Globally enable/disable recycling (acquire/release still work, they just

@@ -8,7 +8,11 @@ namespace avgpipe::tensor {
 
 namespace {
 std::atomic<std::uint64_t> g_seq{0};
-}
+thread_local bool tl_no_grad = false;
+}  // namespace
+
+NoGradGuard::NoGradGuard() : previous_(tl_no_grad) { tl_no_grad = true; }
+NoGradGuard::~NoGradGuard() { tl_no_grad = previous_; }
 
 std::uint64_t autograd_nodes_created() { return g_seq.load(); }
 
@@ -19,9 +23,11 @@ void VarData::accumulate_grad(const Tensor& g) {
                 "gradient numel mismatch: " << g.numel() << " vs "
                                             << value.numel());
   if (!grad_allocated) {
-    // First contribution: copy instead of zero-fill + add (one pass, and the
-    // arena hands back an uninitialized buffer).
-    grad = Tensor::uninitialized(value.shape());
+    // First contribution: copy instead of zero-fill + add (one pass, into an
+    // uninitialized buffer: a provided one, or a fresh one from the arena).
+    if (grad.shape() != value.shape()) {
+      grad = Tensor::uninitialized(value.shape());
+    }
     grad.copy_from(g);
     grad_allocated = true;
     return;
@@ -51,10 +57,22 @@ void Variable::zero_grad() {
   if (data_ && data_->grad_allocated) data_->grad.zero_();
 }
 
+void Variable::provide_grad_buffer(Tensor buffer) {
+  AVGPIPE_CHECK(data_ != nullptr && !data_->grad_allocated,
+                "provide_grad_buffer on a variable that already has a grad");
+  AVGPIPE_CHECK(buffer.shape() == data_->value.shape(),
+                "provided grad buffer " << shape_to_string(buffer.shape())
+                                        << " for value "
+                                        << shape_to_string(shape()));
+  data_->grad = std::move(buffer);
+}
+
 Variable Variable::make_op(Tensor value, std::vector<Variable> parents,
                            std::function<void(detail::VarData&)> backward_fn) {
   bool any_grad = false;
-  for (const auto& p : parents) any_grad = any_grad || p.requires_grad();
+  if (!tl_no_grad) {
+    for (const auto& p : parents) any_grad = any_grad || p.requires_grad();
+  }
 
   auto data = std::make_shared<detail::VarData>();
   data->value = std::move(value);

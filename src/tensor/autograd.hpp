@@ -27,7 +27,9 @@ namespace detail {
 
 struct VarData {
   Tensor value;
-  Tensor grad;  ///< allocated lazily on first accumulation
+  /// Allocated lazily on first accumulation, unless a buffer of value's shape
+  /// was provided beforehand (`Variable::provide_grad_buffer`).
+  Tensor grad;
   bool requires_grad = false;
   bool grad_allocated = false;
   std::uint64_t seq = 0;  ///< creation order; backward runs in descending seq
@@ -67,6 +69,11 @@ class Variable {
   /// Clear this node's gradient (keeps the buffer).
   void zero_grad();
 
+  /// Storage of value's shape that the first gradient contribution is
+  /// copied into, instead of a fresh buffer. Lets a pipeline stage compute
+  /// its input gradient into a buffer its upstream stage owns.
+  void provide_grad_buffer(Tensor buffer);
+
   /// Reverse-mode sweep seeding d(out)/d(out) = 1. Output must be scalar.
   void backward() const;
   /// Reverse-mode sweep with an explicit seed gradient (for pipeline stages:
@@ -89,6 +96,22 @@ class Variable {
       : data_(std::move(data)) {}
 
   std::shared_ptr<detail::VarData> data_;
+};
+
+/// RAII scope in which the calling thread records no autograd tape: while
+/// one is alive, `Variable::make_op` keeps no parents and no backward
+/// closure, and op outputs do not require grad. Values are unchanged, so a
+/// forward-only pass (evaluation) computes the same numbers without keeping
+/// every intermediate alive until the output dies. Guards nest.
+class NoGradGuard {
+ public:
+  NoGradGuard();
+  ~NoGradGuard();
+  NoGradGuard(const NoGradGuard&) = delete;
+  NoGradGuard& operator=(const NoGradGuard&) = delete;
+
+ private:
+  bool previous_;
 };
 
 /// Count of graph nodes created so far (diagnostic; monotone).

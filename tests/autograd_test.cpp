@@ -337,5 +337,46 @@ TEST(OpsTest, GemmTransposeVariants) {
   EXPECT_DOUBLE_EQ(c[3], 10.0);
 }
 
+TEST(AutogradTest, ProvidedGradBufferReceivesTheGradient) {
+  Variable x = leaf({1.0, -2.0, 3.0});
+  Variable reference = leaf({1.0, -2.0, 3.0});
+  Tensor buffer = Tensor::uninitialized({3});
+  const Scalar* storage = buffer.data().data();
+  x.provide_grad_buffer(std::move(buffer));
+  sum_all(mul(x, x)).backward();
+  sum_all(mul(reference, reference)).backward();
+  EXPECT_EQ(x.grad().data().data(), storage);  // no fresh buffer
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(x.grad()[i], reference.grad()[i]);
+  }
+  EXPECT_THROW(x.provide_grad_buffer(Tensor::uninitialized({3})),
+               std::runtime_error);  // already has a gradient
+}
+
+TEST(NoGradGuardTest, OpOutputsRecordNoTape) {
+  Variable x = leaf({1.0, -2.0, 3.0});
+  Variable w = leaf({0.5, 0.25, -1.0});
+  Variable taped = relu(add(mul(x, w), x));
+  Variable y;
+  {
+    NoGradGuard no_grad;
+    y = relu(add(mul(x, w), x));
+    { NoGradGuard nested; }
+    Variable z = add(y, x);  // the outer guard still holds after nesting
+    EXPECT_FALSE(z.requires_grad());
+  }
+  EXPECT_FALSE(y.requires_grad());
+  EXPECT_TRUE(y.data()->parents.empty());
+  EXPECT_FALSE(static_cast<bool>(y.data()->backward_fn));
+  ASSERT_EQ(y.numel(), taped.numel());
+  for (std::size_t i = 0; i < y.numel(); ++i) {
+    EXPECT_EQ(y.value()[i], taped.value()[i]) << i;  // bit-identical values
+  }
+  // Recording resumes once the guard is gone.
+  Variable after = mul(x, w);
+  EXPECT_TRUE(after.requires_grad());
+  EXPECT_EQ(after.data()->parents.size(), 2u);
+}
+
 }  // namespace
 }  // namespace avgpipe::tensor

@@ -149,6 +149,46 @@ ckpt::TrainState tiny_state_compressed(long step) {
 
 // -- format primitives -------------------------------------------------------------------
 
+/// Byte-at-a-time CRC-32 (reflected 0xEDB88320): the oracle for the
+/// table-driven ckpt::crc32.
+std::uint32_t bytewise_crc32(const std::uint8_t* p, std::size_t n,
+                             std::uint32_t seed) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(CkptFormatTest, Crc32MatchesTheCheckValueAndABytewiseOracle) {
+  EXPECT_EQ(ckpt::crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(ckpt::crc32(nullptr, 0), 0u);
+  Rng rng(91);
+  std::vector<std::uint8_t> buf(4096 + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    const std::uint8_t* p = buf.data() + offset;
+    std::uint32_t expected = 0;  // oracle CRC of p[0, n), one byte at a time
+    for (std::size_t n = 0; n <= 4096; ++n) {
+      ASSERT_EQ(ckpt::crc32(p, n), expected)
+          << "length " << n << " offset " << offset;
+      expected = bytewise_crc32(p + n, 1, expected);
+    }
+  }
+  // Chained updates: crc32(b, crc32(a)) == crc32(a ++ b) at every split.
+  const std::uint8_t* p = buf.data() + 3;
+  const std::uint32_t whole = ckpt::crc32(p, 1000);
+  for (std::size_t split = 0; split <= 1000; ++split) {
+    const std::uint32_t first = ckpt::crc32(p, split);
+    ASSERT_EQ(ckpt::crc32(p + split, 1000 - split, first), whole)
+        << "split " << split;
+    ASSERT_EQ(bytewise_crc32(p + split, 1000 - split, first), whole);
+  }
+}
+
 TEST(CkptFormatTest, ByteWriterReaderRoundTripsEveryScalarKind) {
   ckpt::ByteWriter w;
   w.u8(0xAB);

@@ -261,7 +261,7 @@ TEST(Arena, RecyclesBuffersWithinBucket) {
       tensor::arena::bucket_capacity(100));
   EXPECT_EQ(q, p);
   tensor::arena::release(q, tensor::arena::bucket_capacity(100));
-  const auto s = tensor::arena::stats();
+  const auto s = tensor::arena::thread_stats();
   EXPECT_EQ(s.acquires, 2u);
   EXPECT_EQ(s.hits, 1u);
   EXPECT_EQ(s.heap_allocs, 1u);
@@ -300,10 +300,82 @@ TEST(Arena, DisabledFallsThroughToHeap) {
   tensor::arena::release(p, 64);
   Scalar* q = tensor::arena::acquire(64);
   tensor::arena::release(q, 64);
-  const auto s = tensor::arena::stats();
+  const auto s = tensor::arena::thread_stats();
   EXPECT_EQ(s.hits, 0u);
   EXPECT_EQ(s.heap_allocs, 2u);
   tensor::arena::set_enabled(true);
+}
+
+TEST(Arena, CrossThreadReleaseReturnsToOwner) {
+  tensor::arena::clear_thread_cache();
+  Scalar* p = tensor::arena::acquire(100);
+  std::thread([p] {
+    // The releasing thread has a cache of its own, with a free slot in the
+    // same bucket; the buffer must still not land there.
+    tensor::arena::release(tensor::arena::acquire(100), 100);
+    tensor::arena::release(p, 100);
+  }).join();
+  // The buffer went back to this thread's home, not to the releasing
+  // thread's cache: the next same-bucket acquire here finds it.
+  tensor::arena::reset_stats();
+  Scalar* q = tensor::arena::acquire(tensor::arena::bucket_capacity(100));
+  EXPECT_EQ(q, p);
+  const auto s = tensor::arena::thread_stats();
+  EXPECT_EQ(s.hits, 1u);
+  EXPECT_EQ(s.heap_allocs, 0u);
+  tensor::arena::release(q, tensor::arena::bucket_capacity(100));
+}
+
+TEST(Arena, ReleaseAfterOwnerExitIsSafe) {
+  // The owner exits while its buffer is still held; the release that follows
+  // on another thread must neither touch freed memory nor leak (the ASan/LSan
+  // and TSan CI legs run this), and a thread started afterwards keeps working.
+  Scalar* p = nullptr;
+  std::thread([&p] {
+    p = tensor::arena::acquire(40);
+    for (std::size_t i = 0; i < 40; ++i) p[i] = static_cast<Scalar>(i);
+  }).join();
+  EXPECT_EQ(p[39], 39.0);
+  tensor::arena::reset_stats();
+  tensor::arena::release(p, 40);
+  // Parked on the dead owner's home for its next adopter, not freed here.
+  EXPECT_EQ(tensor::arena::thread_stats().heap_frees, 0u);
+  std::thread([] {
+    for (int i = 0; i < 3; ++i) {
+      Scalar* q = tensor::arena::acquire(40);
+      q[0] = 1.0;
+      tensor::arena::release(q, 40);
+    }
+  }).join();
+}
+
+TEST(Arena, ConcurrentRemoteReleasesAllReturnToOwner) {
+  constexpr std::size_t kBuffers = 10000, kThreads = 3, kSize = 16;
+  tensor::arena::clear_thread_cache();
+  std::vector<Scalar*> held(kBuffers);
+  for (auto& p : held) p = tensor::arena::acquire(kSize);
+  std::vector<std::thread> releasers;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    releasers.emplace_back([&held, t] {
+      tensor::arena::release(tensor::arena::acquire(kSize), kSize);  // a cache
+      for (std::size_t i = t; i < kBuffers; i += kThreads) {
+        tensor::arena::release(held[i], kSize);
+      }
+    });
+  }
+  for (auto& th : releasers) th.join();
+
+  tensor::arena::reset_stats();
+  std::vector<Scalar*> again(kBuffers);
+  for (auto& p : again) p = tensor::arena::acquire(kSize);
+  const auto s = tensor::arena::thread_stats();
+  EXPECT_EQ(s.hits, kBuffers);
+  EXPECT_EQ(s.heap_allocs, 0u);
+  std::sort(held.begin(), held.end());
+  std::sort(again.begin(), again.end());
+  EXPECT_EQ(again, held) << "every remotely released buffer comes back";
+  for (Scalar* p : again) tensor::arena::release(p, kSize);
+  tensor::arena::clear_thread_cache();
 }
 
 TEST(Arena, UninitializedTensorSkipsZeroFill) {
