@@ -39,7 +39,8 @@
 
 namespace avgpipe {
 
-/// Outcome of a timed channel operation (recv_for / send_for).
+/// Outcome of a channel wait; only the timed `SpscChannel::recv_for` can
+/// report kTimeout.
 enum class ChannelStatus {
   kOk,       ///< item transferred
   kTimeout,  ///< deadline elapsed; channel still open
@@ -121,10 +122,8 @@ class SpinPolicy {
 ///  * `close` wakes *all* blocked producers and consumers; a `send` issued
 ///    after close returns false immediately instead of blocking, and pending
 ///    items remain receivable (clean end-of-stream).
-///  * `recv_for` / `send_for` are the bounded variants used by the fault-
-///    tolerant runtime: they give the caller back control after a timeout so
-///    a worker can back off, record a health signal, and eventually declare
-///    a silent peer dead rather than blocking forever.
+///  * `try_recv` takes an item only if one is buffered (the reference
+///    process drains queued rounds with it).
 ///
 /// Blocking ops spin briefly on lock-free occupancy hints before taking the
 /// mutex + condvar slow path, so a peer that responds quickly is observed
@@ -158,38 +157,6 @@ class Channel {
     return true;
   }
 
-  /// Timed send: blocks up to `timeout` seconds for space. On kTimeout and
-  /// kClosed the value is dropped (matching `send`'s closed behaviour).
-  ChannelStatus send_for(T value, Seconds timeout) {
-    const auto deadline = detail::deadline_after(timeout);
-    common::MutexLock lock(mutex_);
-    while (!closed_ && items_.size() >= capacity_) {
-      if (not_full_.wait_until(mutex_, lock, deadline) ==
-          std::cv_status::timeout) {
-        break;
-      }
-    }
-    if (closed_) return ChannelStatus::kClosed;
-    if (items_.size() >= capacity_) return ChannelStatus::kTimeout;
-    items_.push_back(std::move(value));
-    size_hint_.store(items_.size(), std::memory_order_release);
-    lock.unlock();
-    not_empty_.notify_one();
-    return ChannelStatus::kOk;
-  }
-
-  /// Non-blocking send. Returns false if full or closed.
-  bool try_send(T value) {
-    {
-      common::MutexLock lock(mutex_);
-      if (closed_ || items_.size() >= capacity_) return false;
-      items_.push_back(std::move(value));
-      size_hint_.store(items_.size(), std::memory_order_release);
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
   /// Blocking receive. Returns nullopt when the channel is closed and empty.
   std::optional<T> recv() {
     spin_not_empty_.spin([&] {
@@ -207,28 +174,6 @@ class Channel {
     lock.unlock();
     not_full_.notify_one();
     return value;
-  }
-
-  /// Timed receive: blocks up to `timeout` seconds for an item. Pending
-  /// items are still delivered after close (kOk), mirroring `recv`.
-  ChannelStatus recv_for(T* out, Seconds timeout) {
-    const auto deadline = detail::deadline_after(timeout);
-    common::MutexLock lock(mutex_);
-    while (!closed_ && items_.empty()) {
-      if (not_empty_.wait_until(mutex_, lock, deadline) ==
-          std::cv_status::timeout) {
-        break;
-      }
-    }
-    if (items_.empty()) {
-      return closed_ ? ChannelStatus::kClosed : ChannelStatus::kTimeout;
-    }
-    *out = std::move(items_.front());
-    items_.pop_front();
-    size_hint_.store(items_.size(), std::memory_order_release);
-    lock.unlock();
-    not_full_.notify_one();
-    return ChannelStatus::kOk;
   }
 
   /// Non-blocking receive.
@@ -348,29 +293,7 @@ class SpscChannel {
   /// Blocking send. Returns false (and drops `value`) if closed.
   bool send(T value) REQUIRES(producer_role_) {
     const std::size_t t = tail_.load(std::memory_order_relaxed);
-    if (wait_for_space(t, kForever) != ChannelStatus::kOk) return false;
-    slots_[t % capacity_] = std::move(value);
-    publish_tail(t);
-    return true;
-  }
-
-  /// Timed send: blocks up to `timeout` seconds for space. On kTimeout and
-  /// kClosed the value is dropped.
-  ChannelStatus send_for(T value, Seconds timeout) REQUIRES(producer_role_) {
-    const std::size_t t = tail_.load(std::memory_order_relaxed);
-    const ChannelStatus st = wait_for_space(t, timeout);
-    if (st != ChannelStatus::kOk) return st;
-    slots_[t % capacity_] = std::move(value);
-    publish_tail(t);
-    return ChannelStatus::kOk;
-  }
-
-  /// Non-blocking send. Returns false if full or closed.
-  bool try_send(T value) REQUIRES(producer_role_) {
-    const std::size_t t = tail_.load(std::memory_order_relaxed);
-    if (closed_.load(std::memory_order_acquire) || !have_space(t)) {
-      return false;
-    }
+    if (wait_for_space(t) != ChannelStatus::kOk) return false;
     slots_[t % capacity_] = std::move(value);
     publish_tail(t);
     return true;
@@ -387,9 +310,12 @@ class SpscChannel {
     return value;
   }
 
-  /// Timed receive: pending items are still delivered after close (kOk),
-  /// and kClosed is terminal — after the first kClosed the channel never
-  /// reports kOk or kTimeout again.
+  /// Timed receive, the fault-tolerant runtime's bounded wait: it gives the
+  /// caller back control after `timeout` seconds (kTimeout) so a stage can
+  /// back off, record a health signal, and eventually declare a silent peer
+  /// dead rather than blocking forever. Pending items are still delivered
+  /// after close (kOk), and kClosed is terminal — after the first kClosed
+  /// the channel never reports kOk or kTimeout again.
   ChannelStatus recv_for(T* out, Seconds timeout) REQUIRES(consumer_role_) {
     const std::size_t h = head_.load(std::memory_order_relaxed);
     const ChannelStatus st = wait_for_item(h, timeout);
@@ -397,16 +323,6 @@ class SpscChannel {
     *out = std::move(slots_[h % capacity_]);
     consume_head(h);
     return ChannelStatus::kOk;
-  }
-
-  /// Non-blocking receive.
-  std::optional<T> try_recv() REQUIRES(consumer_role_) {
-    if (drained_) return std::nullopt;
-    const std::size_t h = head_.load(std::memory_order_relaxed);
-    if (!item_ready(h)) return std::nullopt;
-    T value = std::move(slots_[h % capacity_]);
-    consume_head(h);
-    return value;
   }
 
   /// Close the channel; wakes all parked waiters. Idempotent. See the class
@@ -467,8 +383,7 @@ class SpscChannel {
     }
   }
 
-  ChannelStatus wait_for_space(std::size_t t, Seconds timeout)
-      REQUIRES(producer_role_) {
+  ChannelStatus wait_for_space(std::size_t t) REQUIRES(producer_role_) {
     if (closed_.load(std::memory_order_acquire)) return ChannelStatus::kClosed;
     if (have_space(t)) return ChannelStatus::kOk;
     spin_waits_.fetch_add(1, std::memory_order_relaxed);
@@ -477,7 +392,7 @@ class SpscChannel {
     });
     if (closed_.load(std::memory_order_acquire)) return ChannelStatus::kClosed;
     if (have_space(t)) return ChannelStatus::kOk;
-    const ChannelStatus st = park(send_waiters_, timeout, [&] {
+    const ChannelStatus st = park(send_waiters_, kForever, [&] {
       // seq_cst head load: pairs with consume_head's store for the Dekker
       // handshake (see class comment).
       return t - head_.load(std::memory_order_seq_cst) < capacity_;

@@ -178,11 +178,13 @@ void AvgPipe::replica_loop(std::size_t i) {
     } catch (const std::exception& e) {
       res.error = e.what();
     }
-    if (res.ok && job->do_pull) {
+    if (res.ok) {
       // Policy local sync (elastic's steps ❷–❸, or a BSP-family weight
-      // clone) on the replica's own thread, against the latest snapshot the
-      // reference process has published — possibly stale by up to sync_lag
-      // applies, never blocking on one.
+      // clone) on the replica's own thread, right after its batch, against
+      // the latest snapshot the reference process has published: fresh when
+      // the driver waited for the previous apply (sync mode, sync_lag = 0),
+      // otherwise up to sync_lag applies stale, never blocking on one. Only
+      // a pipeline that completed its batch contributes to the round.
       const Seconds t0 =
           r.trace_buf != nullptr ? config_.tracer->wall_now() : 0;
       const std::shared_ptr<const ParamSet> snap = snapshot_handle();
@@ -405,10 +407,10 @@ double AvgPipe::train_iteration(const std::vector<data::Batch>& batches) {
 
   // Step ❶: each alive pipeline trains on its batch on its persistent
   // worker thread (its runtime is internally threaded; replicas run
-  // concurrently). In async mode the worker also runs its own elastic
-  // pull/push (❷–❸) before reporting back. A runtime failure is contained
-  // to its pipeline: the worker reports it and the driver detaches the
-  // pipeline below instead of propagating.
+  // concurrently), then runs its own policy local sync (❷–❸) before
+  // reporting back. A runtime failure is contained to its pipeline: the
+  // worker reports it and the driver detaches the pipeline below instead of
+  // propagating.
   std::vector<double> losses(replicas_.size(), 0.0);
   std::vector<std::string> errors(replicas_.size());
   std::vector<char> completed(replicas_.size(), 0);
@@ -420,7 +422,6 @@ double AvgPipe::train_iteration(const std::vector<data::Batch>& batches) {
     ReplicaJob job;
     job.batch = &batches[i];
     job.alpha = alpha_;
-    job.do_pull = config_.async_sync;
     job.do_begin = policy_->needs_begin();
     replicas_[i]->jobs->send(std::move(job));
   }
@@ -432,7 +433,7 @@ double AvgPipe::train_iteration(const std::vector<data::Batch>& batches) {
       losses[i] = res->loss;
       completed[i] = 1;
       ++num_completed;
-      if (config_.async_sync) round.push_back(std::move(res->update));
+      round.push_back(std::move(res->update));
     } else {
       errors[i] = std::move(res->error);
     }
@@ -446,8 +447,8 @@ double AvgPipe::train_iteration(const std::vector<data::Batch>& batches) {
       // Escalation beyond the elastic detach: any contained worker failure
       // (a thrown runtime error, the robust_recv peer-unresponsive deadline)
       // re-attaches immediately from durable state instead of waiting for an
-      // operator rejoin. The lost work is this pipeline's batch; its next
-      // pull re-couples it to the survivors' average.
+      // operator rejoin. The lost work is this pipeline's batch: it sits out
+      // this round, and its next pull re-couples it to the survivors' average.
       if (config_.restore_on_failure && config_.checkpoints != nullptr) {
         restore_pipeline_from_checkpoint(i);
       }
@@ -463,39 +464,12 @@ double AvgPipe::train_iteration(const std::vector<data::Batch>& batches) {
     AVGPIPE_THROW("every pipeline failed at step " << step << ": " << first);
   }
 
-  if (!config_.async_sync) {
-    // Synchronous policy local sync over the survivors: pull each replica
-    // toward the published broadcast snapshot (identical to the live
-    // reference state here — the previous apply was waited for below), ship
-    // the round.
-    const std::shared_ptr<const ParamSet> snap = snapshot_handle();
-    for (std::size_t i = 0; i < replicas_.size(); ++i) {
-      if (!health_[i].alive) continue;
-      const Seconds t0 =
-          driver_trace_ != nullptr ? config_.tracer->wall_now() : 0;
-      auto params = replicas_[i]->model.parameters();
-      ParamSet update = policy_->local_sync(params, *snap, alpha_);
-      if (compression_.enabled()) {
-        const SyncCodec::Stats stats =
-            replicas_[i]->push_codec.transmit(update);
-        record_sync_bytes(driver_trace_, i, stats);
-      }
-      round.push_back(std::move(update));
-      if (driver_trace_ != nullptr) {
-        trace::TraceEvent ev;
-        ev.kind = trace::EventKind::kElasticPull;
-        ev.pipeline = static_cast<std::uint32_t>(i);
-        ev.t_begin = t0;
-        ev.t_end = config_.tracer->wall_now();
-        driver_trace_->record(ev);
-      }
-    }
-  }
   update_queue_.send(std::move(round));
   ++outstanding_applies_;
-  // Steps ❹–❺ bounded-lag handshake: synchronous mode waits for this
-  // iteration's apply so the next pull sees fresh weights; async mode lets
-  // up to sync_lag applies trail behind training.
+  // Steps ❹–❺ bounded-lag handshake, the only difference between the modes:
+  // synchronous mode (lag 0) waits for this iteration's apply so the next
+  // pull sees fresh weights; async mode lets up to sync_lag applies trail
+  // behind training.
   wait_applies(config_.async_sync ? config_.sync_lag : 0);
   if (driver_trace_ != nullptr) {
     trace::TraceEvent ev;

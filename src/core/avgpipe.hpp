@@ -41,23 +41,23 @@ struct AvgPipeConfig {
   schedule::Kind kind = schedule::Kind::kAdvanceForward;
   std::size_t advance_num = 0;  ///< 0 -> K-1
   /// Asynchronous elastic sync (paper §3.2's message-queue design taken off
-  /// the critical path): each replica's elastic pull/push runs on that
-  /// replica's persistent worker thread against the latest *published*
-  /// reference snapshot, and the driver no longer waits for the reference
-  /// apply every iteration — it only blocks once more than `sync_lag`
-  /// reference applies are in flight. With sync_lag = 0 the schedule of
-  /// pulls and applies is identical to synchronous mode, so the parameter
-  /// trajectory is bit-identical; sync_lag >= 1 trades bounded staleness
-  /// (replicas may pull against a reference that is up to sync_lag applies
-  /// old) for overlap of the reference process with the next iteration's
-  /// training.
+  /// the critical path). In every mode each replica's elastic pull/push runs
+  /// on that replica's persistent worker thread against the latest
+  /// *published* reference snapshot; this flag only sets how many reference
+  /// applies the driver lets trail behind training. Off (synchronous mode),
+  /// the driver waits for every apply, which is `sync_lag = 0`. On, it
+  /// blocks only once more than `sync_lag` applies are in flight, so
+  /// async_sync with sync_lag = 0 is bit-identical to synchronous mode and
+  /// sync_lag >= 1 trades bounded staleness (replicas may pull against a
+  /// reference up to sync_lag applies old) for overlap of the reference
+  /// process with the next iteration's training.
   bool async_sync = false;
   std::size_t sync_lag = 1;  ///< max reference applies in flight (async)
   /// Optional tracer (non-owning, must outlive the AvgPipe): every stage
   /// worker of every replica records wall-clock spans tagged with its
-  /// pipeline index, the driver records the elastic pulls (❷–❸), and the
-  /// reference process records apply spans plus a staleness counter (how
-  /// many local updates were accumulated but not yet applied, ❹–❺).
+  /// pipeline index, each replica worker records its elastic pulls (❷–❸),
+  /// and the reference process records apply spans plus a staleness counter
+  /// (how many local updates were accumulated but not yet applied, ❹–❺).
   trace::Tracer* tracer = nullptr;
   /// Optional fault plan (non-owning, must outlive the AvgPipe; defaults to
   /// fault::env_plan()). Stragglers/drops are forwarded to every replica
@@ -209,27 +209,26 @@ class AvgPipe : public runtime::TrainerBase {
   struct ReplicaJob {
     const data::Batch* batch = nullptr;
     double alpha = 0;
-    bool do_pull = false;   ///< async mode: run the policy local_sync on-thread
     bool do_begin = false;  ///< BSP/BMUF: reset from the broadcast pre-train
   };
   struct ReplicaResult {
     bool ok = false;
     double loss = 0;
     std::string error;
-    ParamSet update;  ///< filled when the job asked for the pull
+    ParamSet update;  ///< the policy's local update, when `ok`
   };
   struct Replica {
     nn::Sequential model;
     std::unique_ptr<runtime::PipelineRuntime> runtime;
     // Persistent worker thread (replaces a thread spawn per iteration):
-    // consumes ReplicaJobs, trains, optionally runs the elastic pull/push.
+    // consumes ReplicaJobs, trains, then runs the policy's local sync.
     std::unique_ptr<SpscChannel<ReplicaJob>> jobs;
     std::unique_ptr<SpscChannel<ReplicaResult>> results;
     std::thread thread;
     trace::TraceBuffer* trace_buf = nullptr;  ///< worker-side elastic spans
     // Compressor of this replica's push stream (update ParamSets), with its
-    // EF residuals. Touched by the worker thread in async mode and by the
-    // driver in sync mode — one owner per configuration, never both.
+    // EF residuals. Owned by the worker thread; the driver touches it only
+    // while the worker is parked or stopped (capture, restore, rejoin).
     SyncCodec push_codec;
   };
 
@@ -286,8 +285,8 @@ class AvgPipe : public runtime::TrainerBase {
   /// Named external RNG streams captured/restored with checkpoints.
   std::vector<std::pair<std::string, Rng*>> rngs_;
 
-  // Tracing buffers: driver-thread spans (elastic pull) and reference-
-  // process spans; both lazily created from config_.tracer.
+  // Tracing buffers: driver-thread events (membership, checkpoint, sync-lag
+  // counter) and reference-process spans; both created from config_.tracer.
   trace::TraceBuffer* driver_trace_ = nullptr;
   trace::TraceBuffer* reference_trace_ = nullptr;
 

@@ -253,8 +253,8 @@ void PipelineRuntime::record_queue_depth(Stage& stage, std::size_t depth) {
                  static_cast<double>(depth));
 }
 
-// Generic over MPMC Channel and SPSC stage links, so the SPSC role
-// requirement cannot be spelled here; the enclosing run_forward/run_backward
+// Generic over the activation and gradient SPSC links, so the consumer-role
+// requirement is not spelled here; the enclosing run_forward/run_backward
 // hold the RoleGuard instead (allowlisted analysis opt-out).
 template <typename Ch>
 auto PipelineRuntime::robust_recv(Stage& stage, Ch& ch, const char* what)
@@ -282,7 +282,8 @@ auto PipelineRuntime::robust_recv(Stage& stage, Ch& ch, const char* what)
   throw PeerUnresponsiveError(msg.str());
 }
 
-// Same generic-channel analysis opt-out as robust_recv (see the header).
+// Same generic-link analysis opt-out as robust_recv, producer side (see the
+// header).
 template <typename Ch, typename T>
 void PipelineRuntime::faulty_send(Stage& stage, Ch& ch, T msg,
                                   const schedule::Instr& instr, long step,

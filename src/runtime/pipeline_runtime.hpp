@@ -254,11 +254,11 @@ class PipelineRuntime {
   /// recv with fault-plan resilience: timeout + exponential backoff, a
   /// kRecvRetry counter per timeout, and an overall deadline after which the
   /// peer is declared unresponsive (throws). Plain blocking recv when no
-  /// plan is active. Templated over the channel type (MPMC Channel or the
-  /// SPSC stage links), which share the recv/recv_for surface — the SPSC
-  /// consumer-role requirement cannot be spelled generically over both, so
-  /// the definition opts out of the analysis (allowlisted in
-  /// tools/lint_allowlist.json); callers assert the role with a RoleGuard.
+  /// plan is active. Templated over the two SPSC stage-link types
+  /// (activation and gradient); the consumer role of the `ch` argument is
+  /// not spelled on the template, so the definition opts out of the
+  /// analysis (allowlisted in tools/lint_allowlist.json) and callers assert
+  /// the role with a RoleGuard.
   template <typename Ch>
   auto robust_recv(Stage& stage, Ch& ch, const char* what)
       -> decltype(ch.recv());

@@ -372,13 +372,11 @@ HbReport check_happens_before(const std::vector<TraceEvent>& events,
   // the pairing is by occurrence index.
   //
   // Crash recovery breaks that index pairing legitimately: a mid-batch death
-  // aborts a batch whose updates never commit, and a pipeline restored from
-  // a checkpoint re-enters the *same* round that detached it with a pull but
-  // no committed batch of its own. On a pipeline with crash epochs the
-  // strict pairing is therefore replaced by the weaker-but-sound rule:
-  // every pull must follow the latest update committed so far *in its own
-  // epoch* (a pull preceding all of its epoch's updates is the recovery
-  // pull, exempt by design).
+  // aborts a batch whose updates never commit, and only a pipeline that
+  // completed its batch pulls. On a pipeline with crash epochs the strict
+  // pairing is therefore replaced by the rule: every pull must follow the
+  // latest update committed so far *in its own epoch* — a pull that
+  // precedes all of its epoch's updates has no committed batch behind it.
   {
     std::unordered_map<std::uint32_t, std::vector<std::size_t>> pulls;
     std::unordered_map<std::uint32_t,
@@ -399,10 +397,8 @@ HbReport check_happens_before(const std::vector<TraceEvent>& events,
       for (std::size_t j = 0; j < plist.size(); ++j) {
         const TraceEvent& pe = events[plist[j]];
         if (uit == updates.end()) {
-          if (!crashed) {
-            violate("elastic pull without any optimizer update on pipeline " +
-                    std::to_string(pipeline) + ": " + describe(pe));
-          }
+          violate("elastic pull without any optimizer update on pipeline " +
+                  std::to_string(pipeline) + ": " + describe(pe));
           continue;
         }
         const std::size_t p =
@@ -410,12 +406,18 @@ HbReport check_happens_before(const std::vector<TraceEvent>& events,
         for (const auto& [stage, ulist] : uit->second) {
           if (crashed) {
             // Latest update before this pull (indices are t_begin-ordered);
-            // an edge is required only when it belongs to the pull's epoch.
+            // it must exist and belong to the pull's epoch.
             const auto nxt =
                 std::upper_bound(ulist.begin(), ulist.end(), plist[j]);
-            if (nxt == ulist.begin()) continue;
+            if (nxt == ulist.begin() ||
+                epoch_of(events[*(nxt - 1)]) != epoch_of(pe)) {
+              violate("elastic pull " + std::to_string(j) + " of pipeline " +
+                      std::to_string(pipeline) +
+                      " precedes every update of its crash epoch on s" +
+                      std::to_string(stage) + ": " + describe(pe));
+              continue;
+            }
             const std::size_t ui = *(nxt - 1);
-            if (epoch_of(events[ui]) != epoch_of(pe)) continue;
             check_edge(events[ui], pe, "elastic round", ui);
             const auto cit = clock_of.find(ui);
             if (cit != clock_of.end()) join(proc_clock[p], cit->second);

@@ -84,7 +84,7 @@ enum class CounterId : std::uint8_t {
   kStaleness,    ///< reference-model updates accumulated but not yet applied
   kAlivePipelines,  ///< pipelines attached to the elastic group
   kRecvRetry,    ///< bounded-pop timeouts survived before a message arrived
-  kSyncLag,      ///< reference applies in flight behind training (async)
+  kSyncLag,      ///< reference applies in flight behind training (0 in sync)
   // Perf-counter layer (the throughput campaign's measurement side).
   kFlops,        ///< FLOPs issued by a stage during one instruction
   kParkCount,    ///< condvar parks on the stage's inbound links, per batch

@@ -870,6 +870,60 @@ TEST(CkptEscalationTest, RestoredPipelineLossIsNotAveraged) {
   EXPECT_EQ(killed.alive_pipelines(), 2u);
 }
 
+TEST(CkptEscalationTest, RestoredPipelineSitsOutTheKillRound) {
+  // Sync mode, traced: pipeline 1 dies mid-batch at step 2 and is restored
+  // within the same train_iteration. Only a pipeline that completed its
+  // batch contributes to the round, so the victim records no elastic pull in
+  // the kill iteration while every survivor records one per iteration.
+  SyntheticFeatures ds(64, 6, 2, 3);
+  DataLoader loader(ds, 12, 1);
+  TempDir tmp;
+  ckpt::CheckpointDir ckpts(tmp.path);
+
+  fault::FaultPlan plan;
+  fault::WorkerKill kill;
+  kill.pipeline = 1;
+  kill.step = 2;
+  kill.micro_batch = 1;
+  plan.kills.push_back(kill);
+
+  trace::Tracer tracer;
+  AvgPipeConfig cfg = escalating_config(&ckpts, &plan);
+  cfg.num_pipelines = 3;
+  cfg.tracer = &tracer;
+  AvgPipe system(mlp_factory(6, 8, 2, 2), sgd_factory(0.1), cfg);
+
+  // Four iterations: the victim's fresh runtime restarts its batch counter,
+  // so the exact-step kill would re-fire only on the sixth.
+  constexpr std::size_t kIters = 4, kKillIter = 2, kPipelines = 3;
+  std::vector<Seconds> bounds{tracer.wall_now()};
+  for (std::size_t iter = 0; iter < kIters; ++iter) {
+    system.train_iteration({loader.batch(iter, 0), loader.batch(iter, 1),
+                            loader.batch(iter, 2)});
+    bounds.push_back(tracer.wall_now());
+  }
+  EXPECT_EQ(system.health(1).failures, 1u);
+  EXPECT_EQ(system.alive_pipelines(), kPipelines);
+
+  std::vector<std::vector<int>> pulls(kIters, std::vector<int>(kPipelines));
+  for (const auto& ev : tracer.collect()) {
+    if (ev.kind != trace::EventKind::kElasticPull) continue;
+    ASSERT_LT(ev.pipeline, kPipelines);
+    for (std::size_t iter = 0; iter < kIters; ++iter) {
+      if (ev.t_begin >= bounds[iter] && ev.t_begin < bounds[iter + 1]) {
+        ++pulls[iter][ev.pipeline];
+      }
+    }
+  }
+  for (std::size_t iter = 0; iter < kIters; ++iter) {
+    for (std::size_t p = 0; p < kPipelines; ++p) {
+      const int expected = iter == kKillIter && p == 1 ? 0 : 1;
+      EXPECT_EQ(pulls[iter][p], expected)
+          << "iteration " << iter << ", pipeline " << p;
+    }
+  }
+}
+
 TEST(CkptEscalationTest, KillingEveryPipelineThrowsThenTrainsOn) {
   // When no pipeline completes its batch there is no loss to report and no
   // round to apply: the call throws after restoring both pipelines, and the

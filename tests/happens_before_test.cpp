@@ -229,6 +229,43 @@ TEST(HappensBeforeTest, DetectsPullWithoutMatchingUpdate) {
       << r.summary();
 }
 
+TEST(HappensBeforeTest, DetectsPullBeforeEveryUpdateOfItsCrashEpoch) {
+  // Pipeline 0 commits a batch and pulls, crashes, then pulls before any
+  // batch of its new crash epoch committed: only a pipeline that completed
+  // its batch may pull.
+  std::vector<TraceEvent> events{
+      span(EventKind::kForward, 0, 0, 0, 0, 0.0, 1.0),
+      span(EventKind::kBackward, 0, 0, 0, 0, 1.0, 2.0),
+      span(EventKind::kUpdate, 0, 0, 0, -1, 2.0, 3.0),
+      span(EventKind::kElasticPull, 0, 0, -1, -1, 3.0, 4.0),
+      span(EventKind::kPipelineCrash, 0, 0, -1, -1, 5.0, 5.0),
+      span(EventKind::kForward, 0, 0, 0, 0, 8.0, 9.0),
+      span(EventKind::kBackward, 0, 0, 0, 0, 9.0, 10.0),
+      span(EventKind::kUpdate, 0, 0, 0, -1, 10.0, 11.0),
+      span(EventKind::kElasticPull, 0, 0, -1, -1, 11.0, 12.0),
+  };
+  EXPECT_TRUE(check_happens_before(events).ok);  // the legal recovery
+
+  events.insert(events.begin() + 5,
+                span(EventKind::kElasticPull, 0, 0, -1, -1, 6.0, 7.0));
+  const HbReport r = check_happens_before(events);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.violations_total, 1u) << r.summary();
+  EXPECT_TRUE(any_violation_contains(r, "precedes every update of its crash"))
+      << r.summary();
+}
+
+TEST(HappensBeforeTest, DetectsPullOnCrashedPipelineWithoutUpdates) {
+  const std::vector<TraceEvent> events{
+      span(EventKind::kPipelineCrash, 1, 0, -1, -1, 0.0, 0.0),
+      span(EventKind::kElasticPull, 1, 0, -1, -1, 1.0, 2.0),
+  };
+  const HbReport r = check_happens_before(events);
+  EXPECT_FALSE(r.ok);
+  EXPECT_TRUE(any_violation_contains(r, "without any optimizer update"))
+      << r.summary();
+}
+
 TEST(HappensBeforeTest, DetectsSyncLagOverrun) {
   TraceEvent counter;
   counter.kind = EventKind::kCounter;
