@@ -11,9 +11,11 @@
 ///
 /// The JSON records GFLOP/s and ns/op for the blocked GEMM vs the reference
 /// loop, fused vs unfused elastic/SGD kernels, and heap allocations per
-/// steady-state training step from the arena counters. The kernel suite also
-/// re-checks blocked-vs-reference parity and exits non-zero on a mismatch,
-/// so CI's perf-smoke job doubles as a correctness gate.
+/// steady-state training step from the arena counters, and ns per sample of
+/// the synthetic tasks' batch generation against the original full-engine
+/// generators (tests/synthetic_oracle.hpp). The kernel suite also re-checks
+/// blocked-vs-reference and generator parity and exits non-zero on a
+/// mismatch, so CI's perf-smoke job doubles as a correctness gate.
 
 #include <benchmark/benchmark.h>
 
@@ -27,6 +29,7 @@
 
 #include "common/queue.hpp"
 #include "common/thread_pool.hpp"
+#include "data/synthetic.hpp"
 #include "nn/models.hpp"
 #include "optim/optimizer.hpp"
 #include "sim/resources.hpp"
@@ -35,6 +38,7 @@
 #include "tensor/kernels.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/quantize.hpp"
+#include "synthetic_oracle.hpp"
 
 namespace {
 
@@ -356,6 +360,33 @@ ArenaResult bench_arena_steady_state() {
           static_cast<double>(s.heap_allocs) / steps};
 }
 
+struct SyntheticResult {
+  std::string task;      ///< "features" / "seq" / "pair"
+  double ns_per_sample;  ///< the library's make_batch
+  double oracle_ns_per_sample;  ///< one full std::mt19937_64 per sample
+  double speedup;
+  bool parity_ok;        ///< batches byte-identical to the oracle's
+};
+
+/// Batch generation of one synthetic task against its oracle, on the shape
+/// a trainbench workload uses and a 64-sample batch of indices past 2^40.
+template <typename Task, typename Oracle>
+SyntheticResult bench_synthetic(const std::string& name, const Task& task,
+                                const Oracle& oracle) {
+  std::vector<std::size_t> idx(64);
+  for (std::size_t i = 0; i < idx.size(); ++i) {
+    idx[i] = (std::size_t{1} << 40) + 977 * i;
+  }
+  const double n = static_cast<double>(idx.size());
+  SyntheticResult r{name, 0, 0, 0, true};
+  r.ns_per_sample = time_ns([&] { task.make_batch(idx); }, 200) / n;
+  r.oracle_ns_per_sample = time_ns([&] { oracle.make_batch(idx); }, 200) / n;
+  r.speedup = r.oracle_ns_per_sample / r.ns_per_sample;
+  r.parity_ok =
+      testutil::same_bytes(task.make_batch(idx), oracle.make_batch(idx));
+  return r;
+}
+
 int run_kernel_suite(const std::string& json_path) {
   const std::vector<std::array<std::size_t, 3>> shapes = {
       {64, 64, 64}, {128, 128, 128}, {256, 256, 256}, {96, 257, 33}};
@@ -407,6 +438,29 @@ int run_kernel_suite(const std::string& json_path) {
   const ArenaResult arena = bench_arena_steady_state();
   std::printf("arena steady-state: %.1f acquires/step, %.2f heap allocs/step\n",
               arena.acquires_per_step, arena.heap_allocs_per_step);
+  const std::size_t n_samples = std::size_t{1} << 62;
+  const std::vector<SyntheticResult> synthetic = {
+      bench_synthetic("features",
+                      data::SyntheticFeatures(n_samples, 16, 4, 7, 3.0),
+                      testutil::FeaturesOracle(16, 4, 7, 3.0)),
+      bench_synthetic(
+          "seq", data::SyntheticSeqClassification(n_samples, 32, 16, 4, 7, 0.5),
+          testutil::SeqOracle(32, 16, 4, 7, 0.5)),
+      bench_synthetic(
+          "pair", data::SyntheticPairClassification(n_samples, 64, 32, 8, 7),
+          testutil::PairOracle(64, 32, 8, 7))};
+  for (const auto& g : synthetic) {
+    if (!g.parity_ok) {
+      parity_ok = false;
+      std::fprintf(stderr,
+                   "PARITY FAIL synthetic_make_batch %s: batch != oracle\n",
+                   g.task.c_str());
+    }
+    std::printf(
+        "synthetic_make_batch %-8s %8.0f ns/sample  oracle %8.0f ns/sample  "
+        "speedup %.2fx\n",
+        g.task.c_str(), g.ns_per_sample, g.oracle_ns_per_sample, g.speedup);
+  }
 
   std::ofstream out(json_path);
   if (!out) {
@@ -451,6 +505,17 @@ int run_kernel_suite(const std::string& json_path) {
       << arena.acquires_per_step
       << ", \"heap_allocs_per_step\": " << arena.heap_allocs_per_step
       << "},\n";
+  out << "  \"synthetic_make_batch\": [\n";
+  for (std::size_t i = 0; i < synthetic.size(); ++i) {
+    const auto& g = synthetic[i];
+    out << "    {\"task\": \"" << g.task
+        << "\", \"ns_per_sample\": " << g.ns_per_sample
+        << ", \"oracle_ns_per_sample\": " << g.oracle_ns_per_sample
+        << ", \"speedup\": " << g.speedup
+        << ", \"parity_ok\": " << (g.parity_ok ? "true" : "false") << "}"
+        << (i + 1 < synthetic.size() ? "," : "") << "\n";
+  }
+  out << "  ],\n";
   out << "  \"parity_ok\": " << (parity_ok ? "true" : "false") << "\n}\n";
   std::printf("wrote %s\n", json_path.c_str());
   return parity_ok ? 0 : 1;

@@ -2,13 +2,16 @@
 
 /// \file rng.hpp
 /// Deterministic random number generation. All stochastic behaviour in the
-/// library flows through `Rng` instances seeded explicitly, so that every
+/// library flows through explicitly seeded `Rng` instances, or through a
+/// `PrefixMt19937_64` for one synthetic sample's short stream, so that every
 /// experiment, test and trace is reproducible bit-for-bit.
 
+#include <array>
 #include <cstdint>
 #include <random>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/check.hpp"
@@ -95,6 +98,60 @@ class Rng {
 
  private:
   std::mt19937_64 engine_;
+};
+
+/// Exactly the 64-bit stream of `std::mt19937_64(seed)`, for short-lived
+/// streams that draw a few dozen numbers (one synthetic sample each).
+///
+/// The full engine seeds all 312 state words, a serial multiply chain, and
+/// twists all 312 on its first draw. Yet twisted word j depends only on words
+/// j, j+1 and j+156 (mod 312). So this engine seeds word i only when draw
+/// i-156 first needs it, and it twists one word per draw, in place and in the
+/// standard's order. Draw j < 156 thus costs seeding words up to j+156 and
+/// one twist, and every later draw, past 156 and 312 too, is the full
+/// engine's. Same result_type and range as `std::mt19937_64`, so a
+/// `std::*_distribution` consumes both identically.
+class PrefixMt19937_64 {
+ public:
+  using result_type = std::uint64_t;
+  static_assert(std::is_same_v<result_type, std::mt19937_64::result_type>);
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  explicit PrefixMt19937_64(result_type seed) { x_[0] = seed; }
+
+  result_type operator()() {
+    if (seeded_ < kN) seed_through(pos_ + kM + 1);
+    const std::size_t next = pos_ + 1 == kN ? 0 : pos_ + 1;
+    const result_type y = (x_[pos_] & kUpper) | (x_[next] & kLower);
+    const std::size_t far = pos_ < kN - kM ? pos_ + kM : pos_ + kM - kN;
+    result_type z = x_[far] ^ (y >> 1) ^ ((y & 1) ? kMatrixA : 0);
+    x_[pos_] = z;
+    pos_ = next;
+    z ^= (z >> 29) & 0x5555555555555555ull;
+    z ^= (z << 17) & 0x71D67FFFEDA60000ull;
+    z ^= (z << 37) & 0xFFF7EEE000000000ull;
+    return z ^ (z >> 43);
+  }
+
+ private:
+  static constexpr std::size_t kN = 312, kM = 156;
+  static constexpr result_type kMatrixA = 0xB5026F5AA96619E9ull;
+  static constexpr result_type kUpper = ~result_type{0} << 31;
+  static constexpr result_type kLower = ~kUpper;
+
+  /// Seed words [seeded_, count) with the standard's initialization chain.
+  void seed_through(std::size_t count) {
+    for (; seeded_ < count; ++seeded_) {
+      const result_type prev = x_[seeded_ - 1];
+      x_[seeded_] = 6364136223846793005ull * (prev ^ (prev >> 62)) + seeded_;
+    }
+  }
+
+  std::array<result_type, kN> x_{};
+  std::size_t seeded_ = 1;  ///< words [0, seeded_) hold seed or twisted state
+  std::size_t pos_ = 0;     ///< index of the word the next draw twists
 };
 
 }  // namespace avgpipe

@@ -24,7 +24,7 @@ std::vector<Batch> slice_micro_batches(const Batch& batch, std::size_t m) {
     const std::size_t n = base + (i < extra ? 1 : 0);
     tensor::Shape shape = batch.inputs.shape();
     shape[0] = n;
-    Tensor inputs(shape);
+    Tensor inputs = Tensor::uninitialized(std::move(shape));
     const auto src = batch.inputs.data();
     std::copy(src.begin() + static_cast<std::ptrdiff_t>(row * in_stride),
               src.begin() + static_cast<std::ptrdiff_t>((row + n) * in_stride),

@@ -1,10 +1,49 @@
 #include "data/synthetic.hpp"
 
 #include <cmath>
+#include <random>
 
 #include "common/check.hpp"
+#include "common/rng.hpp"
 
 namespace avgpipe::data {
+
+namespace {
+
+// Per-sample draws. The engine yields `std::mt19937_64`'s exact stream and
+// each distribution is constructed per call, as `Rng`'s helpers do, so a
+// sample is byte-identical to one drawn from `Rng(sample seed)`.
+
+/// Sample `index`'s stream of a task seeded `seed`; `salt` tells tasks apart.
+PrefixMt19937_64 sample_stream(std::uint64_t seed, std::uint64_t salt,
+                               std::size_t index) {
+  return PrefixMt19937_64(seed ^ (salt + index * 0x9E3779B97F4A7C15ull));
+}
+
+double normal(PrefixMt19937_64& e) {
+  return std::normal_distribution<double>(0.0, 1.0)(e);
+}
+
+std::int64_t uniform_int(PrefixMt19937_64& e, std::int64_t lo,
+                         std::int64_t hi) {
+  return std::uniform_int_distribution<std::int64_t>(lo, hi)(e);
+}
+
+/// A token from `bucket` of `buckets` equal, contiguous vocabulary buckets
+/// with probability `signal`, else uniform over the whole vocabulary.
+int sample_token(PrefixMt19937_64& e, std::size_t vocab, std::size_t buckets,
+                 double signal, std::size_t bucket) {
+  const std::size_t width = vocab / buckets;
+  if (std::bernoulli_distribution(signal)(e)) {
+    return static_cast<int>(
+        bucket * width + static_cast<std::size_t>(uniform_int(
+                             e, 0, static_cast<std::int64_t>(width - 1))));
+  }
+  return static_cast<int>(
+      uniform_int(e, 0, static_cast<std::int64_t>(vocab - 1)));
+}
+
+}  // namespace
 
 // -- SyntheticFeatures -----------------------------------------------------------
 
@@ -20,15 +59,15 @@ SyntheticFeatures::SyntheticFeatures(std::size_t n, std::size_t dim,
 
 Batch SyntheticFeatures::make_batch(
     const std::vector<std::size_t>& indices) const {
-  Tensor inputs({indices.size(), dim_});
+  Tensor inputs = Tensor::uninitialized({indices.size(), dim_});
   std::vector<int> targets(indices.size());
   auto iv = inputs.data();
   for (std::size_t r = 0; r < indices.size(); ++r) {
-    Rng rng(seed_ ^ (0xABCD1234ull + indices[r] * 0x9E3779B97F4A7C15ull));
+    PrefixMt19937_64 e = sample_stream(seed_, 0xABCD1234ull, indices[r]);
     const std::size_t cls = indices[r] % classes_;
     targets[r] = static_cast<int>(cls);
     for (std::size_t c = 0; c < dim_; ++c) {
-      iv[r * dim_ + c] = centroids_[cls * dim_ + c] + rng.normal() * noise_;
+      iv[r * dim_ + c] = centroids_[cls * dim_ + c] + normal(e) * noise_;
     }
   }
   return Batch{std::move(inputs), std::move(targets)};
@@ -48,31 +87,18 @@ SyntheticSeqClassification::SyntheticSeqClassification(
   AVGPIPE_CHECK(vocab >= classes * 2, "vocab too small for class buckets");
 }
 
-int SyntheticSeqClassification::sample_token(Rng& rng, std::size_t cls) const {
-  // Each class owns a contiguous bucket of vocab/classes tokens; with
-  // probability `signal_` the token comes from the bucket, else uniform.
-  const std::size_t bucket = vocab_ / classes_;
-  if (rng.bernoulli(signal_)) {
-    return static_cast<int>(cls * bucket +
-                            static_cast<std::size_t>(
-                                rng.uniform_int(0, static_cast<std::int64_t>(
-                                                        bucket - 1))));
-  }
-  return static_cast<int>(
-      rng.uniform_int(0, static_cast<std::int64_t>(vocab_ - 1)));
-}
-
 Batch SyntheticSeqClassification::make_batch(
     const std::vector<std::size_t>& indices) const {
-  Tensor inputs({indices.size(), seq_len_});
+  Tensor inputs = Tensor::uninitialized({indices.size(), seq_len_});
   std::vector<int> targets(indices.size());
   auto iv = inputs.data();
   for (std::size_t r = 0; r < indices.size(); ++r) {
-    Rng rng(seed_ ^ (0x5151AAAAull + indices[r] * 0x9E3779B97F4A7C15ull));
+    PrefixMt19937_64 e = sample_stream(seed_, 0x5151AAAAull, indices[r]);
     const std::size_t cls = indices[r] % classes_;
     targets[r] = static_cast<int>(cls);
     for (std::size_t t = 0; t < seq_len_; ++t) {
-      iv[r * seq_len_ + t] = static_cast<tensor::Scalar>(sample_token(rng, cls));
+      iv[r * seq_len_ + t] = static_cast<tensor::Scalar>(
+          sample_token(e, vocab_, classes_, signal_, cls));
     }
   }
   return Batch{std::move(inputs), std::move(targets)};
@@ -93,43 +119,30 @@ SyntheticPairClassification::SyntheticPairClassification(
   AVGPIPE_CHECK(vocab >= topics * 2, "vocab too small for topic buckets");
 }
 
-int SyntheticPairClassification::sample_token(Rng& rng,
-                                              std::size_t topic) const {
-  const std::size_t bucket = vocab_ / topics_;
-  if (rng.bernoulli(signal_)) {
-    return static_cast<int>(topic * bucket +
-                            static_cast<std::size_t>(
-                                rng.uniform_int(0, static_cast<std::int64_t>(
-                                                        bucket - 1))));
-  }
-  return static_cast<int>(
-      rng.uniform_int(0, static_cast<std::int64_t>(vocab_ - 1)));
-}
-
 Batch SyntheticPairClassification::make_batch(
     const std::vector<std::size_t>& indices) const {
-  Tensor inputs({indices.size(), seq_len_});
+  Tensor inputs = Tensor::uninitialized({indices.size(), seq_len_});
   std::vector<int> targets(indices.size());
   auto iv = inputs.data();
   const std::size_t half = seq_len_ / 2;
   for (std::size_t r = 0; r < indices.size(); ++r) {
-    Rng rng(seed_ ^ (0x9A12B34Cull + indices[r] * 0x9E3779B97F4A7C15ull));
+    PrefixMt19937_64 e = sample_stream(seed_, 0x9A12B34Cull, indices[r]);
     const bool same = (indices[r] % 2) == 0;
     targets[r] = same ? 1 : 0;
     const std::size_t topic_a = static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(topics_ - 1)));
+        uniform_int(e, 0, static_cast<std::int64_t>(topics_ - 1)));
     std::size_t topic_b = topic_a;
     if (!same) {
       topic_b = (topic_a + 1 +
-                 static_cast<std::size_t>(rng.uniform_int(
-                     0, static_cast<std::int64_t>(topics_ - 2)))) %
+                 static_cast<std::size_t>(uniform_int(
+                     e, 0, static_cast<std::int64_t>(topics_ - 2)))) %
                 topics_;
     }
     for (std::size_t t = 0; t < half; ++t) {
       iv[r * seq_len_ + t] = static_cast<tensor::Scalar>(
-          sample_token(rng, topic_a));
+          sample_token(e, vocab_, topics_, signal_, topic_a));
       iv[r * seq_len_ + half + t] = static_cast<tensor::Scalar>(
-          sample_token(rng, topic_b));
+          sample_token(e, vocab_, topics_, signal_, topic_b));
     }
   }
   return Batch{std::move(inputs), std::move(targets)};
@@ -195,7 +208,7 @@ std::size_t SyntheticLanguageModel::size() const {
 
 Batch SyntheticLanguageModel::make_batch(
     const std::vector<std::size_t>& indices) const {
-  Tensor inputs({indices.size(), seq_len_});
+  Tensor inputs = Tensor::uninitialized({indices.size(), seq_len_});
   std::vector<int> targets(indices.size() * seq_len_);
   auto iv = inputs.data();
   for (std::size_t r = 0; r < indices.size(); ++r) {

@@ -7,6 +7,13 @@
 /// learnable signal so "epochs to reach a target metric" (Figure 14) is a
 /// meaningful measurement. Every sample is generated deterministically from
 /// (seed, index), so datasets are reproducible and need no disk state.
+///
+/// The features, sequence and pair tasks give each sample its own stream, a
+/// `PrefixMt19937_64` seeded from (seed, index): it computes only the engine
+/// state its few dozen draws read. Batches are generated serially before
+/// each training iteration, while the pipeline waits, so this cost counts.
+/// The language model samples windows of a corpus it draws once, at
+/// construction.
 
 #include "data/dataset.hpp"
 
@@ -43,8 +50,6 @@ class SyntheticSeqClassification : public Dataset {
   std::size_t classes() const { return classes_; }
 
  private:
-  int sample_token(Rng& rng, std::size_t cls) const;
-
   std::size_t n_, vocab_, seq_len_, classes_;
   std::uint64_t seed_;
   double signal_;  ///< probability a token comes from the class bucket
@@ -64,8 +69,6 @@ class SyntheticPairClassification : public Dataset {
   std::size_t seq_len() const { return seq_len_; }
 
  private:
-  int sample_token(Rng& rng, std::size_t topic) const;
-
   std::size_t n_, vocab_, seq_len_, topics_;
   std::uint64_t seed_;
   double signal_;

@@ -543,14 +543,16 @@ void PipelineRuntime::run_backward(Stage& stage,
                            << instr.micro_batch << ", got "
                            << grad->micro_batch);
     if (stage.trace_buf) t0 = tracer_->wall_now();
-    stash.output.backward(grad->payload);
+    // The payload is the buffer this stage sent downstream with the
+    // activation; it comes back as the seed and becomes the output's grad
+    // without a copy, returning to this stage's arena when the sweep ends.
+    stash.output.backward(std::move(grad->payload));
   }
   if (!first) {
     // Ownership transfer, not a clone: the input gradient was computed into
     // the buffer the upstream stage sent with the activation, and goes back
-    // to it. The receiver's accumulate_grad deep-copies the seed into its
-    // own grad buffer on first contribution, so the storage is never shared
-    // across the link after the send.
+    // to it, where it seeds that stage's backward sweep. No handle to the
+    // storage stays on this side of the link after the send.
     tensor::Tensor input_grad = std::move(stash.input.mutable_grad());
     // Drop this micro-batch's graph before the send. It holds the upstream
     // stage's activation, which must be back in that stage's arena before

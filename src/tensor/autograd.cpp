@@ -35,6 +35,16 @@ void VarData::accumulate_grad(const Tensor& g) {
   grad.axpy_(1.0, g);
 }
 
+void VarData::accumulate_grad(Tensor&& g) {
+  if (!grad_allocated && grad.shape() != value.shape() &&
+      g.shape() == value.shape() && g.sole_owner()) {
+    grad = std::move(g);
+    grad_allocated = true;
+    return;
+  }
+  accumulate_grad(static_cast<const Tensor&>(g));
+}
+
 }  // namespace detail
 
 Variable::Variable(Tensor value, bool requires_grad) {
@@ -99,7 +109,18 @@ void Variable::backward(const Tensor& seed) const {
   AVGPIPE_CHECK(data_->requires_grad,
                 "backward() on a variable that does not require grad");
   data_->accumulate_grad(seed);
+  propagate();
+}
 
+void Variable::backward(Tensor&& seed) const {
+  AVGPIPE_CHECK(data_ != nullptr, "backward() on null variable");
+  AVGPIPE_CHECK(data_->requires_grad,
+                "backward() on a variable that does not require grad");
+  data_->accumulate_grad(std::move(seed));
+  propagate();
+}
+
+void Variable::propagate() const {
   // Collect reachable grad-requiring nodes (iterative DFS), then run their
   // backward functions in descending creation order. Creation order is a
   // valid topological order because inputs always exist before outputs.

@@ -39,6 +39,10 @@ struct VarData {
 
   /// grad += g, allocating on first use.
   void accumulate_grad(const Tensor& g);
+  /// Same, but on the first contribution takes `g`'s storage as the grad
+  /// instead of copying it, when no buffer was provided, `g` has value's
+  /// shape and no other tensor shares its storage.
+  void accumulate_grad(Tensor&& g);
 };
 
 }  // namespace detail
@@ -79,6 +83,9 @@ class Variable {
   /// Reverse-mode sweep with an explicit seed gradient (for pipeline stages:
   /// the seed is the gradient arriving from the downstream stage).
   void backward(const Tensor& seed) const;
+  /// Same sweep, adopting the seed's storage as this node's gradient instead
+  /// of copying it (see `VarData::accumulate_grad(Tensor&&)`).
+  void backward(Tensor&& seed) const;
 
   /// Value copy detached from the graph (no grad history).
   Variable detach() const;
@@ -94,6 +101,10 @@ class Variable {
  private:
   explicit Variable(std::shared_ptr<detail::VarData> data)
       : data_(std::move(data)) {}
+
+  /// Run every reachable node's backward function once this node's grad is
+  /// seeded.
+  void propagate() const;
 
   std::shared_ptr<detail::VarData> data_;
 };

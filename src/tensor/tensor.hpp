@@ -140,6 +140,8 @@ class Tensor {
 
   /// True if both tensors alias the same storage.
   bool aliases(const Tensor& other) const { return storage_ == other.storage_; }
+  /// True if no other tensor shares this one's storage.
+  bool sole_owner() const { return storage_.use_count() == 1; }
 
   // -- whole-tensor operations (detached; no autograd) -------------------------
 

@@ -353,6 +353,33 @@ TEST(AutogradTest, ProvidedGradBufferReceivesTheGradient) {
                std::runtime_error);  // already has a gradient
 }
 
+TEST(AutogradTest, MovedSeedIsAdoptedAsTheGradient) {
+  Variable x = leaf({1.0, -2.0, 3.0});
+  Tensor seed = Tensor::from({0.5, 4.0, -1.0});
+  const Scalar* storage = seed.data().data();
+  x.backward(std::move(seed));
+  EXPECT_EQ(x.grad().data().data(), storage);  // adopted, not copied
+  EXPECT_EQ(x.grad()[1], 4.0);
+
+  // A seed whose storage another tensor shares is copied, never aliased.
+  Variable y = leaf({1.0, 2.0, 3.0});
+  Tensor shared = Tensor::from({1.0, 1.0, 1.0});
+  const Tensor alias = shared;
+  y.backward(std::move(shared));
+  EXPECT_FALSE(y.grad().aliases(alias));
+  y.mutable_grad().fill_(7.0);
+  EXPECT_EQ(alias[0], 1.0);
+
+  // A provided buffer still receives the seed.
+  Variable z = leaf({1.0, 2.0, 3.0});
+  Tensor buffer = Tensor::uninitialized({3});
+  const Scalar* provided = buffer.data().data();
+  z.provide_grad_buffer(std::move(buffer));
+  z.backward(Tensor::from({1.0, 2.0, 3.0}));
+  EXPECT_EQ(z.grad().data().data(), provided);
+  EXPECT_EQ(z.grad()[2], 3.0);
+}
+
 TEST(NoGradGuardTest, OpOutputsRecordNoTape) {
   Variable x = leaf({1.0, -2.0, 3.0});
   Variable w = leaf({0.5, 0.25, -1.0});

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <random>
 #include <set>
+
+#include "synthetic_oracle.hpp"
 
 namespace avgpipe::data {
 namespace {
@@ -138,6 +142,88 @@ TEST(SyntheticPairTest, LabelsBalanced) {
 
 TEST(SyntheticPairTest, OddSeqLenThrows) {
   EXPECT_THROW(SyntheticPairClassification(10, 40, 7, 4, 3), Error);
+}
+
+// -- per-sample engine ---------------------------------------------------------
+
+TEST(PrefixMt19937Test, MatchesStdEngineAcrossBothTwistBoundaries) {
+  // 700 draws cross draw 156 (the end of the seeding prefix) and 312 and
+  // 624 (whole twist rounds); the seeds include both extremes.
+  std::vector<std::uint64_t> seeds = {0, 1,
+                                      std::numeric_limits<std::uint64_t>::max()};
+  std::mt19937_64 seed_gen(2024);
+  while (seeds.size() < 1003) seeds.push_back(seed_gen());
+  for (const std::uint64_t seed : seeds) {
+    std::mt19937_64 expected(seed);
+    PrefixMt19937_64 actual(seed);
+    for (int draw = 0; draw < 700; ++draw) {
+      const std::uint64_t want = expected();
+      const std::uint64_t got = actual();
+      if (got != want) {
+        FAIL() << "seed " << seed << " draw " << draw << ": " << got
+               << " != " << want;
+      }
+    }
+  }
+}
+
+TEST(PrefixMt19937Test, DistributionsConsumeItLikeTheStdEngine) {
+  Rng rng(77);
+  PrefixMt19937_64 e(77);
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_EQ(rng.normal(), std::normal_distribution<double>(0.0, 1.0)(e));
+    ASSERT_EQ(rng.uniform_int(3, 1000),
+              std::uniform_int_distribution<std::int64_t>(3, 1000)(e));
+    ASSERT_EQ(rng.bernoulli(0.3), std::bernoulli_distribution(0.3)(e));
+  }
+}
+
+// Sample indices near zero, past 2^40 (the windows trainbench trains on) and
+// at the top of the 62-bit range.
+std::vector<std::size_t> oracle_indices() {
+  std::vector<std::size_t> idx = {0, 1, 2, 3, 17, 1000};
+  const std::size_t far = std::size_t{1} << 40;
+  for (std::size_t i = 0; i < 24; ++i) idx.push_back(far + 7919 * i);
+  idx.push_back((std::size_t{1} << 62) - 1);
+  idx.push_back(std::size_t{3} << 51);
+  return idx;
+}
+
+TEST(SyntheticOracleTest, FeaturesMatchPerSampleRngByteForByte) {
+  // dim 16 is trainbench's mlp_overhead task; dim 160 needs ~400 draws per
+  // sample, past both the 156-draw prefix and a full twist round.
+  for (const std::size_t dim : {std::size_t{16}, std::size_t{160}}) {
+    SCOPED_TRACE(dim);
+    const SyntheticFeatures ds(std::size_t{1} << 62, dim, 4, 7, 3.0);
+    const testutil::FeaturesOracle oracle(dim, 4, 7, 3.0);
+    const auto idx = oracle_indices();
+    EXPECT_TRUE(testutil::same_bytes(ds.make_batch(idx),
+                                     oracle.make_batch(idx)));
+  }
+}
+
+TEST(SyntheticOracleTest, SeqMatchesPerSampleRngByteForByte) {
+  for (const std::size_t seq_len : {std::size_t{10}, std::size_t{128}}) {
+    SCOPED_TRACE(seq_len);
+    const SyntheticSeqClassification ds(std::size_t{1} << 62, 40, seq_len, 4,
+                                        11, 0.9);
+    const testutil::SeqOracle oracle(40, seq_len, 4, 11, 0.9);
+    const auto idx = oracle_indices();
+    EXPECT_TRUE(testutil::same_bytes(ds.make_batch(idx),
+                                     oracle.make_batch(idx)));
+  }
+}
+
+TEST(SyntheticOracleTest, PairMatchesPerSampleRngByteForByte) {
+  for (const std::size_t seq_len : {std::size_t{16}, std::size_t{128}}) {
+    SCOPED_TRACE(seq_len);
+    const SyntheticPairClassification ds(std::size_t{1} << 62, 96, seq_len, 6,
+                                         3);
+    const testutil::PairOracle oracle(96, seq_len, 6, 3);
+    const auto idx = oracle_indices();
+    EXPECT_TRUE(testutil::same_bytes(ds.make_batch(idx),
+                                     oracle.make_batch(idx)));
+  }
 }
 
 TEST(SyntheticLmTest, TargetsAreNextTokens) {
