@@ -104,23 +104,12 @@ void Variable::backward() const {
   backward(Tensor::ones(data_->value.shape()));
 }
 
-void Variable::backward(const Tensor& seed) const {
-  AVGPIPE_CHECK(data_ != nullptr, "backward() on null variable");
-  AVGPIPE_CHECK(data_->requires_grad,
-                "backward() on a variable that does not require grad");
-  data_->accumulate_grad(seed);
-  propagate();
-}
-
-void Variable::backward(Tensor&& seed) const {
+void Variable::backward(Tensor seed) const {
   AVGPIPE_CHECK(data_ != nullptr, "backward() on null variable");
   AVGPIPE_CHECK(data_->requires_grad,
                 "backward() on a variable that does not require grad");
   data_->accumulate_grad(std::move(seed));
-  propagate();
-}
 
-void Variable::propagate() const {
   // Collect reachable grad-requiring nodes (iterative DFS), then run their
   // backward functions in descending creation order. Creation order is a
   // valid topological order because inputs always exist before outputs.

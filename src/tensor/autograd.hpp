@@ -81,11 +81,11 @@ class Variable {
   /// Reverse-mode sweep seeding d(out)/d(out) = 1. Output must be scalar.
   void backward() const;
   /// Reverse-mode sweep with an explicit seed gradient (for pipeline stages:
-  /// the seed is the gradient arriving from the downstream stage).
-  void backward(const Tensor& seed) const;
-  /// Same sweep, adopting the seed's storage as this node's gradient instead
-  /// of copying it (see `VarData::accumulate_grad(Tensor&&)`).
-  void backward(Tensor&& seed) const;
+  /// the seed is the gradient arriving from the downstream stage). A moved-in
+  /// seed is adopted as this node's gradient instead of copied; one whose
+  /// storage the caller still shares is copied (see
+  /// `VarData::accumulate_grad(Tensor&&)`).
+  void backward(Tensor seed) const;
 
   /// Value copy detached from the graph (no grad history).
   Variable detach() const;
@@ -101,10 +101,6 @@ class Variable {
  private:
   explicit Variable(std::shared_ptr<detail::VarData> data)
       : data_(std::move(data)) {}
-
-  /// Run every reachable node's backward function once this node's grad is
-  /// seeded.
-  void propagate() const;
 
   std::shared_ptr<detail::VarData> data_;
 };

@@ -370,6 +370,13 @@ TEST(AutogradTest, MovedSeedIsAdoptedAsTheGradient) {
   y.mutable_grad().fill_(7.0);
   EXPECT_EQ(alias[0], 1.0);
 
+  // So is a seed passed as an lvalue: the caller keeps its handle.
+  Variable w = leaf({1.0, 2.0, 3.0});
+  const Tensor kept = Tensor::from({2.0, 2.0, 2.0});
+  w.backward(kept);
+  EXPECT_FALSE(w.grad().aliases(kept));
+  EXPECT_EQ(w.grad()[0], 2.0);
+
   // A provided buffer still receives the seed.
   Variable z = leaf({1.0, 2.0, 3.0});
   Tensor buffer = Tensor::uninitialized({3});
