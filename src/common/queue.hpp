@@ -141,13 +141,18 @@ class Channel {
 
   /// Blocking send. Returns false (and drops `value`) if closed.
   bool send(T value) {
-    spin_not_full_.spin([&] {
+    const auto ready = [&] {
       return closed_hint_.load(std::memory_order_acquire) ||
              size_hint_.load(std::memory_order_acquire) < capacity_;
-    });
+    };
+    if (!ready()) spin_waits_.fetch_add(1, std::memory_order_relaxed);
+    spin_not_full_.spin(ready);
     common::MutexLock lock(mutex_);
-    while (!closed_ && items_.size() >= capacity_) {
-      not_full_.wait(mutex_, lock);
+    if (!closed_ && items_.size() >= capacity_) {
+      parks_.fetch_add(1, std::memory_order_relaxed);
+      do {
+        not_full_.wait(mutex_, lock);
+      } while (!closed_ && items_.size() >= capacity_);
     }
     if (closed_) return false;
     items_.push_back(std::move(value));
@@ -159,13 +164,18 @@ class Channel {
 
   /// Blocking receive. Returns nullopt when the channel is closed and empty.
   std::optional<T> recv() {
-    spin_not_empty_.spin([&] {
+    const auto ready = [&] {
       return closed_hint_.load(std::memory_order_acquire) ||
              size_hint_.load(std::memory_order_acquire) > 0;
-    });
+    };
+    if (!ready()) spin_waits_.fetch_add(1, std::memory_order_relaxed);
+    spin_not_empty_.spin(ready);
     common::MutexLock lock(mutex_);
-    while (!closed_ && items_.empty()) {
-      not_empty_.wait(mutex_, lock);
+    if (!closed_ && items_.empty()) {
+      parks_.fetch_add(1, std::memory_order_relaxed);
+      do {
+        not_empty_.wait(mutex_, lock);
+      } while (!closed_ && items_.empty());
     }
     if (items_.empty()) return std::nullopt;
     T value = std::move(items_.front());
@@ -217,6 +227,16 @@ class Channel {
 
   std::size_t capacity() const { return capacity_; }
 
+  /// Same relaxed, monotone slow-path statistics as `SpscChannel`, both
+  /// sides combined: `spin_waits()` counts blocking ops whose first hint
+  /// check missed, `parks()` those that then waited on a condvar.
+  std::uint64_t spin_waits() const {
+    return spin_waits_.load(std::memory_order_relaxed);
+  }
+  std::uint64_t parks() const {
+    return parks_.load(std::memory_order_relaxed);
+  }
+
  private:
   const std::size_t capacity_;
   mutable common::Mutex mutex_;
@@ -229,6 +249,8 @@ class Channel {
   // hint costs at most one wasted spin window, never correctness.
   std::atomic<std::size_t> size_hint_{0};
   std::atomic<bool> closed_hint_{false};
+  std::atomic<std::uint64_t> spin_waits_{0};
+  std::atomic<std::uint64_t> parks_{0};
   detail::SpinPolicy spin_not_full_;
   detail::SpinPolicy spin_not_empty_;
 };

@@ -40,14 +40,13 @@ AvgPipe::AvgPipe(const nn::ModelFactory& factory,
                                : default_alpha(config_.num_pipelines);
   health_.resize(config_.num_pipelines);
 
-  // Thread-placement plan: N*K stage threads issue kernels concurrently, so
-  // each gets a fair share of the global pool unless AVGPIPE_STAGE_THREADS
-  // overrides; the pin-slot layout additionally covers the N replica workers
-  // and the reference thread.
+  // Thread-placement plan: N*K stages issue kernels concurrently (each
+  // replica worker runs its pipeline's stage 0), so each gets a fair share
+  // of the global pool unless AVGPIPE_STAGE_THREADS overrides; the pin-slot
+  // layout adds one slot for the reference thread.
   const std::size_t num_stages = config_.boundaries.size() + 1;
   stage_workers_ = stage_workers_from_env(config_.num_pipelines * num_stages);
-  pin_total_slots_ =
-      config_.num_pipelines * num_stages + config_.num_pipelines + 1;
+  pin_total_slots_ = config_.num_pipelines * num_stages + 1;
 
   // Build replicas with identical initial weights: replica 0's init is the
   // source of truth, copied into every other replica and the eval model.
@@ -142,11 +141,8 @@ void AvgPipe::stop_worker(std::size_t i) {
 AVGPIPE_HOT_PATH
 void AvgPipe::replica_loop(std::size_t i) {
   auto& r = *replicas_[i];
-  // Elastic-sync worker slot: after every replica's stage threads. Pinning
-  // is a no-op unless AVGPIPE_PIN_THREADS is set and the layout fits.
-  const std::size_t num_stages = config_.boundaries.size() + 1;
-  pin_current_thread(pin_policy_from_env(),
-                     config_.num_pipelines * num_stages + i, pin_total_slots_);
+  // This thread is pipeline i's stage 0: train_batch runs that stage here
+  // and pins the thread to the stage's slot on its first batch.
   while (auto job = r.jobs->recv()) {
     if (config_.tracer != nullptr && r.trace_buf == nullptr) {
       r.trace_buf = config_.tracer->create_buffer();

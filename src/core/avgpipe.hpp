@@ -50,11 +50,14 @@ struct AvgPipeConfig {
   /// async_sync with sync_lag = 0 is bit-identical to synchronous mode and
   /// sync_lag >= 1 trades bounded staleness (replicas may pull against a
   /// reference up to sync_lag applies old) for overlap of the reference
-  /// process with the next iteration's training.
+  /// process with the next iteration's training. With sync_lag >= 1 a pull
+  /// reads whichever snapshot is published when it runs, so the loss
+  /// trajectory depends on thread timing: two runs of one seed can differ
+  /// (trainbench's mlp_overhead loss digest does).
   bool async_sync = false;
   std::size_t sync_lag = 1;  ///< max reference applies in flight (async)
-  /// Optional tracer (non-owning, must outlive the AvgPipe): every stage
-  /// worker of every replica records wall-clock spans tagged with its
+  /// Optional tracer (non-owning, must outlive the AvgPipe): every stage of
+  /// every replica records wall-clock spans tagged with its
   /// pipeline index, each replica worker records its elastic pulls (❷–❸),
   /// and the reference process records apply spans plus a staleness counter
   /// (how many local updates were accumulated but not yet applied, ❹–❺).
@@ -221,7 +224,9 @@ class AvgPipe : public runtime::TrainerBase {
     nn::Sequential model;
     std::unique_ptr<runtime::PipelineRuntime> runtime;
     // Persistent worker thread (replaces a thread spawn per iteration):
-    // consumes ReplicaJobs, trains, then runs the policy's local sync.
+    // consumes ReplicaJobs, trains, then runs the policy's local sync. It is
+    // also the pipeline's stage 0 (train_batch runs stage 0 on its caller),
+    // so the pipeline has K-1 stage threads of its own.
     std::unique_ptr<SpscChannel<ReplicaJob>> jobs;
     std::unique_ptr<SpscChannel<ReplicaResult>> results;
     std::thread thread;
@@ -268,11 +273,12 @@ class AvgPipe : public runtime::TrainerBase {
   std::unique_ptr<SyncPolicy> policy_;
   SyncCompression compression_;  ///< resolved config/env compression mode
   // Thread-placement plan shared by every replica runtime: replica i's K
-  // stage threads occupy pin slots [i*K, (i+1)*K), then the N replica
-  // workers, then the reference thread — pinned only under
-  // AVGPIPE_PIN_THREADS. stage_workers_ is each stage thread's share of the
-  // global kernel pool (AVGPIPE_STAGE_THREADS, defaulting to a fair split
-  // over all N*K concurrent stage threads).
+  // stages occupy pin slots [i*K, (i+1)*K) — slot i*K is its replica worker,
+  // which runs stage 0 — and the reference thread takes the last of the
+  // N*K + 1 slots; pinned only under AVGPIPE_PIN_THREADS. stage_workers_ is
+  // each stage's share of the global kernel pool (AVGPIPE_STAGE_THREADS,
+  // defaulting to a fair split over all N*K kernel-issuing threads: the N
+  // replica workers running stage 0 plus the N*(K-1) stage threads).
   std::size_t stage_workers_ = 1;
   std::size_t pin_total_slots_ = 0;
   const fault::FaultPlan* faults_ = nullptr;

@@ -112,27 +112,23 @@ PipelineRuntime::PipelineRuntime(nn::Sequential model,
     stage->index = i;
     stage->module = std::move(views[i]);
     stage->optimizer = make_optimizer(stage->module.parameters());
-    stage_start_.push_back(
-        std::make_unique<Channel<std::size_t>>(kStartCapacity));
+    if (i > 0) {
+      stage->start = std::make_unique<Channel<std::size_t>>(kStartCapacity);
+    }
     stages_.push_back(std::move(stage));
   }
-  // Payload links are built for a provisional one-micro-batch batch here so
-  // close_all() can always walk them; the first train_batch resizes them to
-  // the real schedule depth before any worker touches a link.
-  ensure_channels(1);
-  // Warm the intra-op pool before stage workers start issuing GEMMs, so the
-  // first micro-batch doesn't pay worker-thread spawn inside its critical
-  // path.
+  // Warm the intra-op pool before stages start issuing GEMMs, so the first
+  // micro-batch doesn't pay worker-thread spawn inside its critical path.
   ThreadPool::global();
 
-  for (auto& stage : stages_) {
-    Stage* s = stage.get();
+  // Stage 0 runs on the train_batch caller; the rest get a thread each.
+  for (std::size_t i = 1; i < k; ++i) {
+    Stage* s = stages_[i].get();
     s->thread = std::thread([this, s] { worker_loop(*s); });
   }
 }
 
 PipelineRuntime::~PipelineRuntime() {
-  stopping_ = true;
   close_all();
   for (auto& stage : stages_) {
     if (stage->thread.joinable()) stage->thread.join();
@@ -140,8 +136,9 @@ PipelineRuntime::~PipelineRuntime() {
 }
 
 void PipelineRuntime::close_all() {
-  for (auto& ch : stage_start_) ch->close();
-  input_->close();
+  for (auto& stage : stages_) {
+    if (stage->start != nullptr) stage->start->close();
+  }
   for (auto& ch : acts_) ch->close();
   for (auto& ch : grads_) ch->close();
   done_->close();
@@ -160,13 +157,9 @@ std::size_t PipelineRuntime::link_capacity(std::size_t micro_batches) const {
 }
 
 void PipelineRuntime::ensure_channels(std::size_t micro_batches) {
-  if (input_ != nullptr && micro_batches <= channel_micro_batches_) return;
-  channel_micro_batches_ = std::max(channel_micro_batches_, micro_batches);
+  if (micro_batches <= channel_micro_batches_) return;
+  channel_micro_batches_ = micro_batches;
   const std::size_t link_cap = link_capacity(channel_micro_batches_);
-  // The driver enqueues the whole batch up front; sizing the feed channel to
-  // M keeps train_batch from parking mid-dispatch.
-  const std::size_t input_cap = std::max(channel_micro_batches_, link_cap);
-  input_ = std::make_unique<SpscChannel<ActMessage>>(input_cap);
   acts_.clear();
   grads_.clear();
   for (std::size_t i = 0; i + 1 < stages_.size(); ++i) {
@@ -248,11 +241,6 @@ void PipelineRuntime::record_counter(Stage& stage, trace::CounterId id,
   stage.trace_buf->record(ev);
 }
 
-void PipelineRuntime::record_queue_depth(Stage& stage, std::size_t depth) {
-  record_counter(stage, trace::CounterId::kQueueDepth,
-                 static_cast<double>(depth));
-}
-
 // Generic over the activation and gradient SPSC links, so the consumer-role
 // requirement is not spelled here; the enclosing run_forward/run_backward
 // hold the RoleGuard instead (allowlisted analysis opt-out).
@@ -272,7 +260,7 @@ auto PipelineRuntime::robust_recv(Stage& stage, Ch& ch, const char* what)
         break;
     }
   }
-  // A typed throw, not AVGPIPE_THROW: worker_loop tags the failure so the
+  // A typed throw, not AVGPIPE_THROW: run_stage tags the failure so the
   // elastic driver can escalate (detach + restore from checkpoint) instead
   // of treating a hung peer like a programming error.
   std::ostringstream msg;
@@ -332,89 +320,94 @@ void PipelineRuntime::faulty_send(Stage& stage, Ch& ch, T msg,
                                 "failure in flight)");
 }
 
-AVGPIPE_HOT_PATH
 void PipelineRuntime::worker_loop(Stage& stage) {
-  while (auto m = stage_start_[stage.index]->recv()) {
-    if (tracer_ != nullptr && stage.trace_buf == nullptr) {
-      stage.trace_buf = tracer_->create_buffer();
-    }
-    if (!stage.pinned) {
-      // Pin once, on first batch rather than at spawn: the elastic driver
-      // installs its slot plan (set_thread_slots) between construction and
-      // the first train_batch. No-op unless AVGPIPE_PIN_THREADS is set and
-      // the machine has a core per slot.
-      pin_current_thread(pin_policy_from_env(), pin_first_slot_ + stage.index,
-                         pin_total_slots_);
-      stage.pinned = true;
-    }
-    // Every parallel_for issued from this thread for the rest of the batch
-    // (GEMM row-panel fan-out) is capped at this stage's worker share, so K
-    // concurrently-running stages cannot oversubscribe the pool.
-    PartitionGuard partition(stage_workers_);
-    schedule::ScheduleParams params;
-    params.kind = kind_;
-    params.num_stages = stages_.size();
-    params.micro_batches = *m;
-    params.num_batches = 1;
-    params.advance_num = advance_num_;
-    stage.program =
-        schedule::make_schedule(params).stages[stage.index].instrs;
-    stage.loss_sum = 0;
-    stage.micro_batches = *m;
-    const long step = step_.load(std::memory_order_acquire);
-
-    // Any exception inside an instruction — a CHECK failure, an injected
-    // fault, a model bug — would previously escape the thread and
-    // std::terminate the process. Capture it with the stage/instruction
-    // context, fail the batch and let every peer unwind over the closed
-    // channels instead.
-    const schedule::Instr* current = nullptr;
-    try {
-      begin_prediction(stage, step);
-      for (const auto& instr : stage.program) {
-        current = &instr;
-        run_instr(stage, instr, step);
-      }
-    } catch (const std::exception& e) {
-      if (dynamic_cast<const PeerUnresponsiveError*>(&e) != nullptr) {
-        peer_unresponsive_.store(true, std::memory_order_release);
-      }
-      std::ostringstream msg;
-      msg << "stage " << stage.index;
-      if (current != nullptr) {
-        msg << " [" << schedule::to_string(current->kind) << " b"
-            << current->batch << "." << current->micro_batch << "]";
-      }
-      msg << ": " << e.what();
-      fail(msg.str());
-      return;  // the worker is dead; the runtime is permanently failed
-    }
-    if (stage.trace_buf != nullptr) {
-      // Spin-vs-park telemetry for this stage's inbound links (the side this
-      // thread blocks on). Per-batch deltas; the clamp survives the counters
-      // resetting when ensure_channels rebuilds the links between batches.
-      std::uint64_t parks = 0, spins = 0;
-      const SpscChannel<ActMessage>& act_in =
-          stage.index == 0 ? *input_ : *acts_[stage.index - 1];
-      parks += act_in.parks();
-      spins += act_in.spin_waits();
-      if (stage.index + 1 < stages_.size()) {
-        parks += grads_[stage.index]->parks();
-        spins += grads_[stage.index]->spin_waits();
-      }
-      const std::uint64_t dp =
-          parks >= stage.last_parks ? parks - stage.last_parks : parks;
-      const std::uint64_t ds =
-          spins >= stage.last_spins ? spins - stage.last_spins : spins;
-      stage.last_parks = parks;
-      stage.last_spins = spins;
-      record_counter(stage, trace::CounterId::kParkCount,
-                     static_cast<double>(dp));
-      record_counter(stage, trace::CounterId::kSpinCount,
-                     static_cast<double>(ds));
-    }
+  while (auto m = stage.start->recv()) {
+    // A failed stage is dead; the runtime is permanently failed.
+    if (!run_stage(stage, *m)) return;
     done_->send(static_cast<int>(stage.index));
   }
+}
+
+AVGPIPE_HOT_PATH
+bool PipelineRuntime::run_stage(Stage& stage, std::size_t micro_batches) {
+  if (tracer_ != nullptr && stage.trace_buf == nullptr) {
+    stage.trace_buf = tracer_->create_buffer();
+  }
+  if (!stage.pinned) {
+    // Pin once, on first batch rather than at spawn: the elastic driver
+    // installs its slot plan (set_thread_slots) between construction and
+    // the first train_batch. No-op unless AVGPIPE_PIN_THREADS is set and
+    // the machine has a core per slot.
+    pin_current_thread(pin_policy_from_env(), pin_first_slot_ + stage.index,
+                       pin_total_slots_);
+    stage.pinned = true;
+  }
+  // Every parallel_for issued from this thread for the rest of the batch
+  // (GEMM row-panel fan-out) is capped at this stage's worker share, so K
+  // concurrently-running stages cannot oversubscribe the pool.
+  PartitionGuard partition(stage_workers_);
+  stage.loss_sum = 0;
+  stage.micro_batches = micro_batches;
+  const long step = step_.load(std::memory_order_acquire);
+
+  // Any exception inside an instruction — a CHECK failure, an injected
+  // fault, a model bug — must neither escape a stage thread (std::terminate)
+  // nor leave peers blocked on this stage. Capture it with the
+  // stage/instruction context, fail the batch and let every peer unwind
+  // over the closed channels instead.
+  const schedule::Instr* current = nullptr;
+  try {
+    schedule::ScheduleParams params{.kind = kind_, .num_stages = stages_.size(),
+                                    .micro_batches = micro_batches,
+                                    .advance_num = advance_num_};
+    stage.program = schedule::make_schedule(params).stages[stage.index].instrs;
+    begin_prediction(stage, step);
+    for (const auto& instr : stage.program) {
+      current = &instr;
+      run_instr(stage, instr, step);
+    }
+  } catch (const std::exception& e) {
+    if (dynamic_cast<const PeerUnresponsiveError*>(&e) != nullptr) {
+      peer_unresponsive_.store(true, std::memory_order_release);
+    }
+    std::ostringstream msg;
+    msg << "stage " << stage.index;
+    if (current != nullptr) {
+      msg << " [" << schedule::to_string(current->kind) << " b"
+          << current->batch << "." << current->micro_batch << "]";
+    }
+    msg << ": " << e.what();
+    fail(msg.str());
+    return false;
+  }
+  if (stage.trace_buf == nullptr) return true;
+  // Spin-vs-park telemetry for every channel this stage's thread blocks on:
+  // its inbound payload links, plus the start-token wait on a stage thread
+  // or the done_ wait on the caller (stage 0; that wait follows this call,
+  // so it lands in the next batch's sample). Per-batch deltas; the clamp
+  // survives the link counters resetting when ensure_channels rebuilds the
+  // links between batches.
+  std::uint64_t parks = 0, spins = 0;
+  const auto add = [&](const auto& ch) {
+    parks += ch.parks();
+    spins += ch.spin_waits();
+  };
+  if (stage.index == 0) {
+    add(*done_);
+  } else {
+    add(*stage.start);
+    add(*acts_[stage.index - 1]);
+  }
+  if (stage.index + 1 < stages_.size()) add(*grads_[stage.index]);
+  const std::uint64_t dp =
+      parks >= stage.last_parks ? parks - stage.last_parks : parks;
+  const std::uint64_t ds =
+      spins >= stage.last_spins ? spins - stage.last_spins : spins;
+  stage.last_parks = parks;
+  stage.last_spins = spins;
+  record_counter(stage, trace::CounterId::kParkCount, static_cast<double>(dp));
+  record_counter(stage, trace::CounterId::kSpinCount, static_cast<double>(ds));
+  return true;
 }
 
 AVGPIPE_HOT_PATH
@@ -425,7 +418,7 @@ void PipelineRuntime::run_instr(Stage& stage, const schedule::Instr& instr,
                            static_cast<int>(stage.index), step,
                            instr.micro_batch)) {
     // Arbitrary-point crash: die before the instruction runs, leaving any
-    // partial activations/gradients of this batch behind. The worker loop
+    // partial activations/gradients of this batch behind. run_stage
     // flattens this into a failed-batch report; the elastic driver detaches
     // (and, with checkpoints, restores) the pipeline.
     AVGPIPE_THROW("injected worker kill (fault plan): stage "
@@ -475,18 +468,27 @@ void PipelineRuntime::run_forward(Stage& stage, const schedule::Instr& instr,
   const bool first = stage.index == 0;
   const bool last = stage.index + 1 == stages_.size();
 
-  SpscChannel<ActMessage>& in_ch = first ? *input_ : *acts_[stage.index - 1];
-  // This stage thread is the one consumer of its inbound activation link
-  // (the upstream worker — or the driver, for input_ — is the one producer).
-  common::RoleGuard in_role(in_ch.consumer_role());
-  const Seconds t_wait = stage.trace_buf ? tracer_->wall_now() : 0;
-  auto msg = robust_recv(stage, in_ch, "activation");
-  record_span(stage, trace::EventKind::kWaitBubble, instr, t_wait);
-  record_queue_depth(stage, in_ch.size());
-  AVGPIPE_CHECK(msg.has_value(), "activation channel closed mid-batch");
-  AVGPIPE_CHECK(msg->micro_batch == instr.micro_batch,
-                "stage " << stage.index << " expected micro-batch "
-                         << instr.micro_batch << ", got " << msg->micro_batch);
+  std::optional<ActMessage> msg;
+  if (first) {
+    // Stage 0 reads its micro-batch straight from the caller's slice.
+    data::Batch& mb = stage.feed[instr.micro_batch];
+    msg.emplace(instr.micro_batch, std::move(mb.inputs), std::move(mb.targets));
+  } else {
+    SpscChannel<ActMessage>& in_ch = *acts_[stage.index - 1];
+    // This stage thread is the one consumer of its inbound activation link
+    // (the upstream stage is the one producer).
+    common::RoleGuard in_role(in_ch.consumer_role());
+    const Seconds t_wait = stage.trace_buf ? tracer_->wall_now() : 0;
+    msg = robust_recv(stage, in_ch, "activation");
+    record_span(stage, trace::EventKind::kWaitBubble, instr, t_wait);
+    record_counter(stage, trace::CounterId::kQueueDepth,
+                   static_cast<double>(in_ch.size()));
+    AVGPIPE_CHECK(msg.has_value(), "activation channel closed mid-batch");
+    AVGPIPE_CHECK(msg->micro_batch == instr.micro_batch,
+                  "stage " << stage.index << " expected micro-batch "
+                           << instr.micro_batch << ", got "
+                           << msg->micro_batch);
+  }
 
   // The boundary input needs a gradient on every stage but the first.
   const Seconds t0 = stage.trace_buf ? tracer_->wall_now() : 0;
@@ -536,7 +538,8 @@ void PipelineRuntime::run_backward(Stage& stage,
     const Seconds t_wait = t0;
     auto grad = robust_recv(stage, grad_ch, "gradient");
     record_span(stage, trace::EventKind::kWaitBubble, instr, t_wait);
-    record_queue_depth(stage, grad_ch.size());
+    record_counter(stage, trace::CounterId::kQueueDepth,
+                   static_cast<double>(grad_ch.size()));
     AVGPIPE_CHECK(grad.has_value(), "gradient channel closed mid-batch");
     AVGPIPE_CHECK(grad->micro_batch == instr.micro_batch,
                   "stage " << stage.index << " expected gradient "
@@ -647,39 +650,31 @@ void PipelineRuntime::run_update(Stage& stage, const schedule::Instr& instr) {
 
 BatchStats PipelineRuntime::train_batch(const data::Batch& batch,
                                         std::size_t micro_batches) {
-  AVGPIPE_CHECK(!stopping_, "runtime already stopped");
   if (failed()) {
     AVGPIPE_THROW("pipeline permanently failed: " << failure_message());
   }
-  auto micro = data::slice_micro_batches(batch, micro_batches);
+  Stage& first = *stages_.front();
+  first.feed = data::slice_micro_batches(batch, micro_batches);
   step_.fetch_add(1, std::memory_order_release);
   // Safe here: no batch is in flight, so every payload channel is empty and
-  // every worker is parked on its start channel.
+  // every stage thread is parked on its start channel.
   ensure_channels(micro_batches);
 
-  for (auto& ch : stage_start_) {
-    if (!ch->send(micro_batches)) {
-      AVGPIPE_THROW("pipeline failed: " << failure_message());
-    }
+  // A closed start channel means fail() ran, which closed done_ too, so the
+  // wait below reports it.
+  for (std::size_t k = 1; k < stages_.size(); ++k) {
+    stages_[k]->start->send(micro_batches);
   }
-  {
-    // The driver thread is the one producer of the stage-0 feed link (no
-    // batch is in flight, so no other thread touches input_'s send side).
-    common::RoleGuard feed_role(input_->producer_role());
-    for (std::size_t i = 0; i < micro.size(); ++i) {
-      // A closed (failed) channel drops the message; the failure surfaces at
-      // the done barrier below.
-      input_->send(ActMessage{static_cast<int>(i), std::move(micro[i].inputs),
-                              std::move(micro[i].targets)});
-    }
+  // This thread is stage 0. A failure here has already closed every channel
+  // (fail()), so the stage threads unwind and nothing waits on done_.
+  bool ok = run_stage(first, micro_batches);
+  for (std::size_t k = 1; ok && k < stages_.size(); ++k) {
+    ok = done_->recv().has_value();
   }
-  for (std::size_t i = 0; i < stages_.size(); ++i) {
-    auto d = done_->recv();
-    if (!d.has_value()) {
-      const std::string why = failure_message();
-      AVGPIPE_THROW("pipeline failed: "
-                    << (why.empty() ? "done channel closed mid-batch" : why));
-    }
+  if (!ok) {
+    const std::string why = failure_message();
+    AVGPIPE_THROW("pipeline failed: "
+                  << (why.empty() ? "done channel closed mid-batch" : why));
   }
 
   BatchStats stats;

@@ -3,13 +3,14 @@
 /// \file pipeline_runtime.hpp
 /// Threaded pipeline-parallel training over real tensors.
 ///
-/// One worker thread per stage (the simulated "GPU process"), connected by
-/// bounded channels carrying boundary activations forward and boundary
-/// gradients backward — the message-passing structure of Figure 1. Each
-/// worker executes its stage's instruction stream from schedule/ verbatim,
-/// so AFAB, 1F1B and advance-forward orderings are all runnable on real
-/// models and must produce identical numerics (a property the tests check:
-/// the schedule only changes *when* work happens, never *what* is computed).
+/// One thread per stage (the simulated "GPU process"), connected by bounded
+/// channels carrying boundary activations forward and boundary gradients
+/// backward — the message-passing structure of Figure 1. Stage 0 runs on
+/// the train_batch caller; stages 1..K-1 each own a worker thread. Each
+/// stage executes its instruction stream from schedule/ verbatim, so AFAB,
+/// 1F1B and advance-forward orderings are all runnable on real models and
+/// must produce identical numerics (a property the tests check: the
+/// schedule only changes *when* work happens, never *what* is computed).
 ///
 /// Gradients are accumulated over the micro-batches of a batch and applied
 /// once per batch by per-stage optimizers, which reproduces exactly the
@@ -92,15 +93,16 @@ class PipelineRuntime {
   PipelineRuntime& operator=(const PipelineRuntime&) = delete;
 
   /// Train on one batch sliced into `micro_batches`; blocks until the
-  /// optimizer step of every stage has been applied.
+  /// optimizer step of every stage has been applied. The calling thread
+  /// runs stage 0 itself.
   ///
-  /// Throws avgpipe::Error if any stage worker fails (uncaught exception,
-  /// injected fault, or unresponsive peer); the message carries the failing
-  /// stage index and instruction. A failed runtime is permanently dead:
-  /// every later train_batch rethrows the stored failure.
+  /// Throws avgpipe::Error if any stage fails (uncaught exception, injected
+  /// fault, or unresponsive peer), stage 0 included; the message carries the
+  /// failing stage index and instruction. A failed runtime is permanently
+  /// dead: every later train_batch rethrows the stored failure.
   BatchStats train_batch(const data::Batch& batch, std::size_t micro_batches);
 
-  /// Whether a stage worker has failed (see train_batch).
+  /// Whether a stage has failed (see train_batch).
   bool failed() const { return failed_.load(std::memory_order_acquire); }
   /// First recorded failure, empty if none.
   std::string failure_message() const;
@@ -130,7 +132,7 @@ class PipelineRuntime {
   /// assertions mirroring the paper's stash bounds).
   std::size_t peak_stash(std::size_t stage) const;
 
-  /// Attach a tracer (nullptr to clear): stage workers then record
+  /// Attach a tracer (nullptr to clear): stages then record
   /// wall-clock compute spans, recv-wait spans and channel-occupancy
   /// counters, tagged with the pipeline index. Must be called before the
   /// first train_batch; the tracer must outlive this runtime.
@@ -142,7 +144,7 @@ class PipelineRuntime {
   /// train_batch.
   void set_pipeline_index(std::size_t index);
 
-  /// Attach a fault plan (nullptr to clear): worker loops then consult its
+  /// Attach a fault plan (nullptr to clear): stages then consult its
   /// step-windowed records — straggler sleeps after ops, deterministic send
   /// drops with retry penalties, extra send latency — and recvs switch to
   /// timeout + exponential backoff so a silent peer is eventually declared
@@ -153,25 +155,25 @@ class PipelineRuntime {
   const fault::FaultPlan* faults() const { return faults_; }
 
   /// Enable XPipe-style weight prediction (see PredictionConfig). Must be
-  /// called before the first train_batch; prediction state is worker-thread-
-  /// local per stage, so no cross-thread synchronisation is added.
+  /// called before the first train_batch; prediction state is local to each
+  /// stage's thread, so no cross-thread synchronisation is added.
   void set_weight_prediction(const PredictionConfig& config);
   const PredictionConfig& weight_prediction() const { return prediction_; }
 
-  /// Per-stage-thread share of the global kernel pool (PartitionGuard): each
-  /// stage worker fans its tensor kernels out over at most `workers` threads
-  /// (itself included), so K stages never oversubscribe the pool. 0 keeps
-  /// the construction-time default (AVGPIPE_STAGE_THREADS, else a fair split
+  /// Per-stage share of the global kernel pool (PartitionGuard): each stage
+  /// fans its tensor kernels out over at most `workers` threads (itself
+  /// included), so K stages never oversubscribe the pool. 0 keeps the
+  /// construction-time default (AVGPIPE_STAGE_THREADS, else a fair split
   /// over this runtime's stages). Must be called before the first
   /// train_batch; workers read it after the start-channel recv.
   void set_stage_workers(std::size_t workers);
   std::size_t stage_workers() const { return stage_workers_; }
 
-  /// Core-pinning slot layout for this runtime's stage threads under
+  /// Core-pinning slot layout for this runtime's stages under
   /// AVGPIPE_PIN_THREADS: stage k pins to slot `first_slot + k` of
-  /// `total_slots`. Defaults to [0, num_stages) — core::AvgPipe widens the
-  /// layout across its replicas and sync threads. Must be called before the
-  /// first train_batch.
+  /// `total_slots` on its first batch (stage 0: the caller). Defaults to
+  /// [0, num_stages) — core::AvgPipe widens the layout across its replicas
+  /// and reference thread. Must be called before the first train_batch.
   void set_thread_slots(std::size_t first_slot, std::size_t total_slots);
 
   /// Bounded per-link capacity of the stage-to-stage channels for a batch of
@@ -194,7 +196,6 @@ class PipelineRuntime {
     /// back. So the gradient buffer is acquired and released on the same
     /// thread, at points fixed by that stage's own schedule, and a
     /// steady-state step needs no heap allocation whatever the timing.
-    /// Empty on the feed link (stage 0's input needs no gradient).
     tensor::Tensor grad;
 
     ActMessage() = default;
@@ -227,7 +228,11 @@ class PipelineRuntime {
   };
 
   struct Stage;
+  /// Stage thread main (stages 1..K-1): one run_stage per start token.
   void worker_loop(Stage& stage);
+  /// Run one batch on `stage` on this thread; false once a failure has been
+  /// recorded with fail() (a stage thread then exits, train_batch throws).
+  bool run_stage(Stage& stage, std::size_t micro_batches);
   void run_instr(Stage& stage, const schedule::Instr& instr, long step);
   void run_forward(Stage& stage, const schedule::Instr& instr, long step);
   void run_backward(Stage& stage, const schedule::Instr& instr, long step);
@@ -238,7 +243,6 @@ class PipelineRuntime {
   void record_span(Stage& stage, trace::EventKind kind,
                    const schedule::Instr& instr, Seconds t_begin);
   void record_counter(Stage& stage, trace::CounterId id, double value);
-  void record_queue_depth(Stage& stage, std::size_t depth);
 
   /// Record the first failure, close every channel (peers unwind on the
   /// closed-channel checks) and mark the runtime dead.
@@ -283,35 +287,36 @@ class PipelineRuntime {
     std::size_t peak_stash = 0;
     double loss_sum = 0;  // last stage only
     std::size_t micro_batches = 0;
-    trace::TraceBuffer* trace_buf = nullptr;  // worker-owned, lazily created
-    // Weight-prediction state (worker-thread-local, touched only between a
-    // start-channel recv and the done send): the stashed true weights for
-    // the in-flight batch, and the EMA of realised per-batch updates.
+    /// Stage 0 only: the in-flight batch's micro-batches, read in place.
+    std::vector<data::Batch> feed;
+    trace::TraceBuffer* trace_buf = nullptr;  // stage-owned, lazily created
+    // Weight-prediction state (touched only inside run_stage): the stashed
+    // true weights for the in-flight batch and the EMA of per-batch updates.
     std::vector<tensor::Tensor> pred_true;
     std::vector<tensor::Tensor> pred_delta;
     bool pred_have_delta = false;
     bool pred_predicted = false;  ///< this batch runs on predicted weights
-    // Perf-counter state (worker-thread-local): whether this thread has been
-    // pinned, and the last sampled readings of the inbound links' slow-path
+    // Perf-counter state (stage-thread-local): whether this thread has been
+    // pinned, and the last sampled readings of its channels' slow-path
     // counters (per-batch deltas become kParkCount/kSpinCount samples).
     bool pinned = false;
     std::uint64_t last_parks = 0;
     std::uint64_t last_spins = 0;
+    // Stages 1..K-1 only: the batch-start token channel and the thread.
+    std::unique_ptr<Channel<std::size_t>> start;
     std::thread thread;
   };
   std::vector<std::unique_ptr<Stage>> stages_;
 
   // Channels: acts_[k] carries stage k -> k+1, grads_[k] carries k+1 -> k.
   // Every payload link is strictly single-producer/single-consumer (one
-  // upstream worker, one downstream worker; input_ is driver -> stage 0),
-  // so they use the lock-free SPSC specialization. Capacities are derived
-  // from the schedule in ensure_channels(), not a blanket constant.
+  // upstream stage, one downstream stage), so they use the lock-free SPSC
+  // specialization. Capacities are derived from the schedule in
+  // ensure_channels(), not a blanket constant.
   std::vector<std::unique_ptr<SpscChannel<ActMessage>>> acts_;
   std::vector<std::unique_ptr<SpscChannel<GradMessage>>> grads_;
-  std::unique_ptr<SpscChannel<ActMessage>> input_;  // feeds stage 0
-  // Per-batch coordination (done_ is many-producers -> driver, so MPMC).
-  std::unique_ptr<Channel<int>> done_;  // stages report batch done
-  std::vector<std::unique_ptr<Channel<std::size_t>>> stage_start_;
+  // Stage threads report batch done to the caller (many producers, so MPMC).
+  std::unique_ptr<Channel<int>> done_;
   std::size_t channel_micro_batches_ = 0;  ///< capacity ensure_channels saw
   std::size_t capacity_override_ = 0;      ///< AVGPIPE_CHANNEL_CAPACITY
   /// Assert on every stage-link send that the "+1 slack" holds (a
@@ -320,7 +325,6 @@ class PipelineRuntime {
   /// override and skipped while a fault plan is active (a crashed peer
   /// legitimately leaves links full).
   bool assert_link_slack_ = false;
-  bool stopping_ = false;
 
   // Tracing (optional) and the pipeline index: written before the first
   // batch, read by workers after a start-channel recv, so the channel

@@ -717,7 +717,9 @@ TEST(CkptSystemTest, DeadPipelineStaysDetachedAcrossRestore) {
 
 // -- failure escalation: mid-batch kill -> detach -> restore-from-checkpoint -------------
 
-TEST(CkptEscalationTest, WorkerKillEscalatesToDurableRestore) {
+/// Kill pipeline 1 mid-batch at `stage` after a checkpoint and check that
+/// restore_on_failure brings it back from durable state.
+void expect_kill_escalates_to_durable_restore(int stage) {
   SyntheticFeatures ds(64, 6, 2, 3);
   DataLoader loader(ds, 12, 1);
   TempDir tmp;
@@ -726,6 +728,7 @@ TEST(CkptEscalationTest, WorkerKillEscalatesToDurableRestore) {
   fault::FaultPlan plan;
   fault::WorkerKill kill;
   kill.pipeline = 1;
+  kill.stage = stage;
   kill.step = 2;  // dies mid-batch on the third iteration
   kill.micro_batch = 1;
   plan.kills.push_back(kill);
@@ -778,6 +781,16 @@ TEST(CkptEscalationTest, WorkerKillEscalatesToDurableRestore) {
   EXPECT_GE(rejoins, 1u);
   EXPECT_EQ(checkpoints, 1u);
   EXPECT_TRUE(durable_restore);
+}
+
+TEST(CkptEscalationTest, WorkerKillEscalatesToDurableRestore) {
+  expect_kill_escalates_to_durable_restore(fault::kAny);
+}
+
+TEST(CkptEscalationTest, StageZeroKillEscalatesToDurableRestore) {
+  // Stage 0 runs on the replica worker itself: its failure must be reported
+  // and escalated like a stage thread's.
+  expect_kill_escalates_to_durable_restore(0);
 }
 
 TEST(CkptEscalationTest, KillWithoutLoadableCheckpointFallsBackToBroadcast) {

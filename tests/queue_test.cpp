@@ -353,6 +353,28 @@ TEST(SpscChannelTest, CountsSpinsAndParksOnSlowPath) {
   EXPECT_EQ(ch.parks(), parks);
 }
 
+TEST(ChannelTest, CountsSpinsAndParksOnSlowPath) {
+  // A recv on an empty channel spins, then parks until close. The closer
+  // waits for the park counter itself, so the order is fixed whatever the
+  // scheduling.
+  Channel<int> ch(2);
+  std::thread closer([&] {
+    while (ch.parks() == 0) std::this_thread::yield();
+    ch.close();
+  });
+  EXPECT_FALSE(ch.recv().has_value());
+  closer.join();
+  EXPECT_EQ(ch.spin_waits(), 1u);
+  EXPECT_EQ(ch.parks(), 1u);
+  // The fast path stays counter-free: a ready item or free slot never spins
+  // or parks.
+  Channel<int> fast(2);
+  ASSERT_TRUE(fast.send(7));
+  EXPECT_EQ(fast.recv(), 7);
+  EXPECT_EQ(fast.spin_waits(), 0u);
+  EXPECT_EQ(fast.parks(), 0u);
+}
+
 TEST(ThreadPoolTest, EmptyRangeIsNoop) {
   ThreadPool pool(2);
   bool ran = false;

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <thread>
 
 #include "data/synthetic.hpp"
+#include "fault/fault_plan.hpp"
 #include "nn/models.hpp"
 #include "runtime/semantics.hpp"
 #include "tensor/arena.hpp"
@@ -164,6 +166,77 @@ TEST(PipelineRuntimeTest, SingleStageWorks) {
   PipelineRuntime runtime(model, {}, sgd_factory(0.1), cross_entropy_loss());
   const BatchStats stats = runtime.train_batch(loader.batch(0, 0), 2);
   EXPECT_GT(stats.loss, 0.0);
+}
+
+/// Pass-through layer that records the thread each forward runs on.
+class ThreadProbe : public nn::Module {
+ public:
+  explicit ThreadProbe(std::vector<std::thread::id>* seen) : seen_(seen) {}
+  tensor::Variable forward(const tensor::Variable& x) override {
+    seen_->push_back(std::this_thread::get_id());
+    return x;
+  }
+  std::string name() const override { return "ThreadProbe"; }
+
+ private:
+  std::vector<std::thread::id>* seen_;
+};
+
+TEST(PipelineRuntimeTest, StageZeroRunsOnTheCallingThread) {
+  std::vector<std::thread::id> stage0, stage1;
+  Rng rng(5);
+  Sequential model;
+  model.emplace<ThreadProbe>(&stage0);
+  model.emplace<nn::Linear>(4, 6, rng);
+  model.emplace<ThreadProbe>(&stage1);
+  model.emplace<nn::Linear>(6, 2, rng);
+  SyntheticFeatures ds(16, 4, 2, 3);
+  DataLoader loader(ds, 8, 1);
+  {
+    PipelineRuntime runtime(model, {2}, sgd_factory(0.1),
+                            cross_entropy_loss());
+    for (std::size_t i = 0; i < 2; ++i) {
+      runtime.train_batch(loader.batch(0, i), 2);
+    }
+  }  // the stage thread is joined: its probe's records are safe to read
+  ASSERT_EQ(stage0.size(), 4u);
+  ASSERT_EQ(stage1.size(), 4u);
+  for (const auto& id : stage0) EXPECT_EQ(id, std::this_thread::get_id());
+  for (const auto& id : stage1) EXPECT_NE(id, std::this_thread::get_id());
+}
+
+TEST(PipelineRuntimeTest, StageZeroFailureThrowsFromTheCaller) {
+  // Stage 0 runs on the caller, so its failure must surface exactly like a
+  // stage thread's: tagged, sticky, and the runtime still shuts down
+  // cleanly. K = 1 has no stage thread and nothing waits on done_.
+  SyntheticFeatures ds(16, 4, 2, 3);
+  DataLoader loader(ds, 8, 1);
+  const Batch batch = loader.batch(0, 0);
+  for (const std::vector<std::size_t>& boundaries :
+       {std::vector<std::size_t>{}, std::vector<std::size_t>{2}}) {
+    SCOPED_TRACE("K = " + std::to_string(boundaries.size() + 1));
+    fault::FaultPlan plan;
+    fault::WorkerKill kill;
+    kill.stage = 0;
+    kill.step = 1;
+    kill.micro_batch = 1;
+    plan.kills.push_back(kill);
+    Sequential model = nn::make_mlp(4, 6, 2, 2, 1);
+    PipelineRuntime runtime(model, boundaries, sgd_factory(0.1),
+                            cross_entropy_loss());
+    runtime.set_faults(&plan);
+    EXPECT_TRUE(std::isfinite(runtime.train_batch(batch, 2).loss));
+    try {
+      runtime.train_batch(batch, 2);
+      ADD_FAILURE() << "a stage-0 kill did not throw";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("stage 0 [F b0.1]"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_TRUE(runtime.failed());
+    EXPECT_THROW(runtime.train_batch(batch, 2), Error);
+  }  // each runtime's destructor joins its stage threads
 }
 
 TEST(PipelineRuntimeTest, RejectsFlushFreeKinds) {
